@@ -30,7 +30,6 @@ from .core_array import (
     delete_rows_cols,
     enumerate_arrays,
     extract_residue_subarray,
-    insertion_ball,
     interleave_residue_subarrays,
     transpose,
 )

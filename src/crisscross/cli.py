@@ -23,9 +23,6 @@ from .bounds import (
     gv_upper_bound,
     sp_lower_bound,
 )
-from .code_c1 import C1Params, c1_check, c1_decode
-from .code_c2 import C2Params, c2_check, c2_decode
-from .code_c3 import C3Params, c3_check, c3_decode
 from .core_array import (
     BurstPattern,
     DeletionPattern,
@@ -40,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     NotACodewordError,
 )
-from .params_io import codebook_from_text, params_from_text
+from .params_io import CONSTRUCTIONS, codebook_from_text, construction_of, params_from_text
 from .verify import DEFAULT_TRIAL_BUDGET, TrialConfig, simulate_trials, verify_codebook
 
 EXIT_OK = 0
@@ -49,6 +46,9 @@ EXIT_INPUT = 2
 EXIT_DECODE = 3
 EXIT_AMBIGUOUS = 4
 EXIT_CAPACITY = 5
+
+# Most values one --n/--q style list may expand to; checked before expanding.
+MAX_LIST_VALUES = 10_000
 
 
 def _read_text(path: str) -> str:
@@ -81,18 +81,18 @@ def _parse_values(spec: str, what: str) -> list[int]:
                     raise ValueError
                 if step < 1:
                     raise ValueError
-                out.extend(range(lo, hi + 1, step))
+                values = range(lo, hi + 1, step)
             else:
-                out.append(int(part))
+                values = [int(part)]
         except ValueError:
             raise InvalidParameterError(
                 f"bad {what} value {part!r}: want an integer, a comma list, or lo:hi[:step]"
             ) from None
+        room = MAX_LIST_VALUES - len(out)
+        if len(values[: room + 1]) > room:  # a slice, so a huge range is never expanded
+            raise InvalidParameterError(f"{what} lists more than {MAX_LIST_VALUES} values")
+        out.extend(values)
     return out
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
 
 
 def _parse_positions(spec: str, what: str) -> tuple[int, ...]:
@@ -108,25 +108,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         for q in _parse_values(args.q, "q"):
             det = sp_lower_bound(n, q, args.tr, args.tc)
             gv = gv_upper_bound(n, q, args.tr, args.tc)
+            ok = "true" if det.hypothesis_ok else "false"
             sys.stdout.write(
                 f"{n},{q},{args.tr},{args.tc},{det.redundancy_bits:.4f},{gv:.4f},"
-                f"{det.epsilon:.6f},{det.run_threshold:.6f},{_fmt_bool(det.hypothesis_ok)}\n"
+                f"{det.epsilon:.6f},{det.run_threshold:.6f},{ok}\n"
             )
     return EXIT_OK
-
-
-def _check_membership(x, p) -> bool:
-    if isinstance(p, C1Params):
-        return c1_check(x, p)
-    if isinstance(p, C2Params):
-        return c2_check(x, p)
-    return c3_check(x, p)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     p = params_from_text(_read_text(args.params))
     x = array_from_text(_read_text(args.array))
-    ok = _check_membership(x, p)
+    ok = construction_of(p).check(x, p)
     sys.stdout.write("member\n" if ok else "non-member\n")
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -181,18 +174,15 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     p = params_from_text(_read_text(args.params))
     y = array_from_text(_read_text(args.received))
-    if isinstance(p, C3Params) and args.path != "auto":
-        raise InvalidParameterError("the burst decoder has a single path")
+    construction = construction_of(p)
+    if args.path not in construction.paths:
+        offers = "a single path" if len(construction.paths) == 1 else f"paths {construction.paths}"
+        raise InvalidParameterError(f"the {construction.name} decoder has {offers}")
     t0 = time.perf_counter()
     # A well-formed array of the wrong shape is a decode failure, not an
     # input error: nothing with that shape lies in any codeword's ball.
     try:
-        if isinstance(p, C1Params):
-            out = c1_decode(y, p, path=args.path)
-        elif isinstance(p, C2Params):
-            out = c2_decode(y, p, path=args.path)
-        else:
-            out = c3_decode(y, p)
+        out = construction.decode(y, p, path=args.path)
     except InvalidParameterError as exc:
         raise NotACodewordError(str(exc)) from exc
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="randomized corrupt/decode round-trip trials")
-    p.add_argument("--construction", required=True, choices=("c1", "c2", "c3"))
+    p.add_argument("--construction", required=True, choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--tr", type=int, default=1)

@@ -16,9 +16,9 @@ from .core_array import (
     enumerate_arrays,
     move_last_col_to,
     move_last_row_to,
+    require_shape,
 )
 from .errors import (
-    AmbiguityError,
     CapacityError,
     CodePropertyError,
     InvalidParameterError,
@@ -27,7 +27,7 @@ from .errors import (
 from .onedim import comp_rank, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
 from .reprs import ccr, rir
-from .scan import ScanContext
+from .scan import ScanContext, complete_array, scan_verdict
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
 
 def c1_check(x: Array2D, p: C1Params) -> bool:
     """Membership test against every class constraint."""
-    _check_shape(x, p)
+    require_shape(x, p.n, p.n, p.q, "the class parameters")
     if x.col_sums() != p.a:
         return False
     row_sums = x.row_sums()
@@ -110,17 +110,6 @@ def c1_check(x: Array2D, p: C1Params) -> bool:
     return signature_syndrome(rir(x), p.n) == p.d
 
 
-def _check_shape(x: Array2D, p) -> None:
-    rows = getattr(p, "rows", None) or p.n
-    cols = getattr(p, "cols", None) or p.n
-    if (x.rows, x.cols) != (rows, cols):
-        raise InvalidParameterError(
-            f"array shape {x.rows}x{x.cols} does not match parameters {rows}x{cols}"
-        )
-    if x.q != p.q:
-        raise InvalidParameterError(f"alphabet {x.q} does not match parameters {p.q}")
-
-
 def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
     """Recover the codeword whose deletion ball contains the (n-1) x (n-1) minor y.
 
@@ -131,11 +120,7 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
     """
     if path not in ("auto", "fast", "scan"):
         raise InvalidParameterError(f"unknown decode path {path!r}")
-    if y.q != p.q or y.rows != p.n - 1 or y.cols != p.n - 1:
-        raise InvalidParameterError(
-            f"received shape {y.rows}x{y.cols} (q={y.q}) does not match a deletion "
-            f"from {p.n}x{p.n} (q={p.q})"
-        )
+    require_shape(y, p.n - 1, p.n - 1, p.q, "a single deletion")
     if path == "auto":
         path = "fast" if p.uniform else "scan"
     if path == "fast":
@@ -145,21 +130,9 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
     return _decode_scan(y, p)
 
 
-def _complete_array(y: Array2D, a_val: int, b_val: int) -> Array2D:
-    """Append the column and row forced by uniform sums (deleted ones shifted last)."""
-    q = y.q
-    bottom = [(a_val - sum(col)) % q for col in zip(*y.cells)]
-    right = [(b_val - sum(row)) % q for row in y.cells]
-    corner = (b_val - sum(bottom)) % q
-    cells = tuple(
-        row + (right[i],) for i, row in enumerate(y.cells)
-    ) + (tuple(bottom) + (corner,),)
-    return Array2D(cells, q)
-
-
 def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     n = p.n
-    x2 = _complete_array(y, p.a[0], p.full_b[0])
+    x2 = complete_array(y, p.a[0], p.full_b[0])
     ranks = tuple(comp_rank(c) for c in ccr(x2))
     _, col_run = vt_decode_known_symbol(ranks[:-1], ranks[-1], p.c, n)
     if col_run[0] != col_run[1]:
@@ -187,26 +160,7 @@ def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
         cand = ctx.assemble(i_hyp, j_hyp, new_row, new_col)
         if c1_check(cand, p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
-    return _scan_verdict(survivors, "scan")
-
-
-def _scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
-    if not survivors:
-        raise NotACodewordError("no deletion hypothesis yields a class member")
-    if len(survivors) > 1:
-        raise AmbiguityError(
-            f"{len(survivors)} distinct codewords explain the input; "
-            "the class is not deletion correcting on this instance"
-        )
-    array, hyps = next(iter(survivors.items()))
-    rows = [i for i, _ in hyps]
-    cols = [j for _, j in hyps]
-    return DecodeOutcome(
-        array=array,
-        row_interval=(min(rows), max(rows)),
-        col_interval=(min(cols), max(cols)),
-        path=path,
-    )
+    return scan_verdict(survivors, "scan")
 
 
 def c1_enumerate(p: C1Params, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Array2D]:

@@ -8,19 +8,28 @@ row integers resolve the exact positions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .core_array import Array2D, move_last_col_to, move_last_row_to, transpose
+from .core_array import Array2D, move_last_col_to, move_last_row_to, require_shape, transpose
 from .errors import (
     CodePropertyError,
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import comp_rank, inversions, signature_syndrome, vt_decode_known_symbol
+from .onedim import comp_rank, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import ccr, cir, is_l_valid, rir, rows_are_distinct
-from .scan import ScanContext
-from .code_c1 import _scan_verdict
+from .reprs import ccr, is_l_valid, rir, rows_are_distinct
+from .scan import (
+    ScanContext,
+    band_rows,
+    column_int,
+    complete_array,
+    disjoint_band,
+    parity_bits,
+    resolve_by_parity,
+    scan_verdict,
+)
 
 
 @dataclass(frozen=True)
@@ -82,18 +91,8 @@ class C2Params:
 
 def default_band_height(n: int, q: int) -> int:
     """Band height giving high-probability validity, clipped so three bands fit."""
-    import math
-
     base = math.ceil(math.log2(n)) + (6 if q == 2 else 2)
     return max(1, min(base, n // 3))
-
-
-def _band_parities(x: Array2D, l: int) -> tuple[int, int, int]:
-    out = []
-    for k in range(3):
-        band = Array2D(x.cells[k * l:(k + 1) * l], x.q)
-        out.append(inversions(cir(band)) % 2)
-    return tuple(out)
 
 
 def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
@@ -110,18 +109,14 @@ def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
         a=x.col_sums(),
         b=x.row_sums()[: x.rows - 1],
         c=(col_syn, row_syn),
-        d=_band_parities(x, l) + (inversions(rir(x)) % 2,),
+        d=parity_bits(x, l),
         rows_distinct=rows_distinct,
     )
 
 
 def c2_check(x: Array2D, p: C2Params) -> bool:
     """Membership test against every class constraint."""
-    if (x.rows, x.cols) != (p.rows, p.cols) or x.q != p.q:
-        raise InvalidParameterError(
-            f"array {x.rows}x{x.cols} (q={x.q}) does not match parameters "
-            f"{p.rows}x{p.cols} (q={p.q})"
-        )
+    require_shape(x, p.rows, p.cols, p.q, "the class parameters")
     if x.col_sums() != p.a:
         return False
     if x.row_sums()[: p.rows - 1] != p.b:
@@ -134,9 +129,7 @@ def c2_check(x: Array2D, p: C2Params) -> bool:
         return False
     if signature_syndrome(tuple(comp_rank(c) for c in ccr(transpose(x))), p.rows) != p.c[1]:
         return False
-    if _band_parities(x, p.l) != p.d[:3]:
-        return False
-    return inversions(rir(x)) % 2 == p.d[3]
+    return parity_bits(x, p.l) == p.d
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,6 @@ class IntervalLocation:
     row_interval: tuple[int, int]
     col_interval: tuple[int, int]
     completed: Array2D
-    col_ranks: tuple[int, ...]
-    row_ranks: tuple[int, ...]
 
 
 def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
@@ -159,18 +150,12 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     """
     if not p.uniform:
         raise InvalidParameterError("interval location requires uniform sums")
-    if y.q != p.q or (y.rows, y.cols) != (p.rows - 1, p.cols - 1):
-        raise InvalidParameterError(
-            f"received shape {y.rows}x{y.cols} does not match a deletion from "
-            f"{p.rows}x{p.cols}"
-        )
-    from .code_c1 import _complete_array
-
-    x2 = _complete_array(y, p.a[0], p.full_b[0])
+    require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
+    x2 = complete_array(y, p.a[0], p.full_b[0])
     col_obs = tuple(comp_rank(c) for c in ccr(x2))
-    col_ranks, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
+    _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
     row_obs = tuple(comp_rank(c) for c in ccr(transpose(x2)))
-    row_ranks, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
+    _, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
     for run in (col_run, row_run):
         if run[1] - run[0] > 1:
             raise CodePropertyError(
@@ -180,52 +165,7 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
         row_interval=row_run,
         col_interval=col_run,
         completed=x2,
-        col_ranks=col_ranks,
-        row_ranks=row_ranks,
     )
-
-
-def _disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
-    """1-based index of a band whose rows avoid the row interval."""
-    lo, hi = row_interval
-    for k in range(1, 4):
-        if k * l < lo or (k - 1) * l + 1 > hi:
-            return k
-    raise CodePropertyError("no band avoids the row interval")
-
-
-def _band_rows_from_completed(x2: Array2D, k: int, l: int, row_interval: tuple[int, int]):
-    """Rows of band k as they sit in the completed array.
-
-    Bands above the deleted row are unshifted; bands below it moved up one.
-    """
-    first, last = (k - 1) * l + 1, k * l
-    shift = 1 if first > row_interval[1] else 0
-    return [x2.cells[r - 1 - shift] for r in range(first, last + 1)]
-
-
-def _column_int(rows, j: int, q: int) -> int:
-    value = 0
-    for row in rows:
-        value = value * q + row[j]
-    return value
-
-
-def _resolve_by_parity(seq, v, cands, parity_bit, what):
-    """Choose the insertion position of v among <=2 candidates by inversion parity."""
-    if len(cands) == 1:
-        return cands[0], True
-    first = seq[: cands[0] - 1] + (v,) + seq[cands[0] - 1:]
-    second = seq[: cands[1] - 1] + (v,) + seq[cands[1] - 1:]
-    if first == second:
-        return cands[0], False
-    matches = [
-        pos for pos, cand in zip(cands, (first, second))
-        if inversions(cand) % 2 == parity_bit
-    ]
-    if not matches:
-        raise NotACodewordError(f"no {what} candidate matches the inversion parity")
-    return matches[0], True
 
 
 def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
@@ -254,16 +194,16 @@ def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
     if len(col_cands) == 1:
         j, col_exact = col_cands[0], True
     else:
-        k = _disjoint_band(l, loc.row_interval)
-        band = _band_rows_from_completed(x2, k, l, loc.row_interval)
-        y_cir = tuple(_column_int(band, t, q) for t in range(p.cols - 1))
-        missing = _column_int(band, p.cols - 1, q)
-        j, col_exact = _resolve_by_parity(y_cir, missing, col_cands, p.d[k - 1], "column")
+        k = disjoint_band(l, loc.row_interval)
+        band = band_rows(x2, k, l, loc.row_interval)
+        y_cir = tuple(column_int(band, t, q) for t in range(p.cols - 1))
+        missing = column_int(band, p.cols - 1, q)
+        j, col_exact = resolve_by_parity(y_cir, missing, col_cands, p.d[k - 1], "column")
     x1 = move_last_col_to(x2, j)
 
     row_cands = list(range(loc.row_interval[0], loc.row_interval[1] + 1))
     ints = rir(x1)
-    i, row_exact = _resolve_by_parity(ints[:-1], ints[-1], row_cands, p.d[3], "row")
+    i, row_exact = resolve_by_parity(ints[:-1], ints[-1], row_cands, p.d[3], "row")
     x = move_last_row_to(x1, i)
 
     if not c2_check(x, p):
@@ -290,4 +230,4 @@ def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
         cand = ctx.assemble(i_hyp, j_hyp, new_row, new_col)
         if c2_check(cand, p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
-    return _scan_verdict(survivors, "scan")
+    return scan_verdict(survivors, "scan")

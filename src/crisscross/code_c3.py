@@ -18,20 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .code_c2 import (
-    C2Params,
-    _band_parities,
-    _column_int,
-    _disjoint_band,
-    _resolve_by_parity,
-    c2_check,
-    c2_decode,
-    c2_syndromes,
-)
+from .code_c2 import C2Params, c2_check, c2_decode, c2_syndromes
 from .core_array import (
     Array2D,
     extract_residue_subarray,
     interleave_residue_subarrays,
+    require_shape,
 )
 from .errors import (
     AmbiguityError,
@@ -43,7 +35,14 @@ from .errors import (
 from .onedim import inversions
 from .outcome import DecodeOutcome
 from .reprs import is_l_valid, is_l_weakly_valid, rir, rows_are_distinct
-from .scan import ScanContext
+from .scan import (
+    ScanContext,
+    band_rows,
+    column_int,
+    disjoint_band,
+    parity_bits,
+    resolve_by_parity,
+)
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
 BitGrid = tuple[tuple[tuple[int, int, int, int], ...], ...]
@@ -133,10 +132,6 @@ def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[Array2D]]:
     ]
 
 
-def _parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
-    return _band_parities(x, l) + (inversions(rir(x)) % 2,)
-
-
 def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     """Class parameters of x for the burst code with window t_r x t_c.
 
@@ -159,7 +154,7 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     anchor = c2_syndromes(head, l, rows_distinct=True)
     a = tuple(tuple(sub.col_sums() for sub in row) for row in subs)
     b = tuple(tuple(sub.row_sums()[:-1] for sub in row) for row in subs)
-    d = tuple(tuple(_parity_bits(sub, l) for sub in row) for row in subs)
+    d = tuple(tuple(parity_bits(sub, l) for sub in row) for row in subs)
     return C3Params(
         n=x.rows, q=x.q, t_r=t_r, t_c=t_c, l=l, anchor=anchor, a=a, b=b, d=d
     )
@@ -168,10 +163,7 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
 def c3_check(x: Array2D, p: C3Params) -> bool:
     """Membership test: anchor passes its full class check, every other
     subarray matches its sums and parities and is weakly band-valid."""
-    if (x.rows, x.cols) != (p.n, p.n) or x.q != p.q:
-        raise InvalidParameterError(
-            f"array shape {x.rows}x{x.cols} over q={x.q} does not match the class"
-        )
+    require_shape(x, p.n, p.n, p.q, "the class parameters")
     subs = _subarrays(x, p.t_r, p.t_c)
     for s, u in itertools.product(range(1, p.t_r + 1), range(1, p.t_c + 1)):
         sub = subs[s - 1][u - 1]
@@ -185,7 +177,7 @@ def c3_check(x: Array2D, p: C3Params) -> bool:
             return False
         if not is_l_weakly_valid(sub, p.l):
             return False
-        if _parity_bits(sub, p.l) != p.d[s - 1][u - 1]:
+        if parity_bits(sub, p.l) != p.d[s - 1][u - 1]:
             return False
     return True
 
@@ -214,16 +206,13 @@ def _resolve_subarray(
         # The chosen band avoids the row interval, so its rows read the same
         # under either row hypothesis, making the column test independent.
         interval = (row_cands[0], row_cands[-1])
-        k = _disjoint_band(l, interval)
-        first = (k - 1) * l + 1
-        shift = 1 if first > interval[1] else 0
-        band = [y_sub.cells[r - 1 - shift] for r in range(first, first + l)]
-        y_cir = tuple(_column_int(band, t, q) for t in range(m_c - 1))
+        k = disjoint_band(l, interval)
+        band = band_rows(y_sub, k, l, interval)
+        y_cir = tuple(column_int(band, t, q) for t in range(m_c - 1))
         missing = 0
-        for r in range(first, first + l):
-            gap = (full_b[r - 1] - sum(y_sub.cells[r - 1 - shift])) % q
-            missing = missing * q + gap
-        j, col_exact = _resolve_by_parity(y_cir, missing, col_cands, d[k - 1], "column")
+        for r, row in enumerate(band, start=(k - 1) * l + 1):
+            missing = missing * q + (full_b[r - 1] - sum(row)) % q
+        j, col_exact = resolve_by_parity(y_cir, missing, col_cands, d[k - 1], "column")
 
     matches: list[tuple[int, Array2D]] = []
     for i in row_cands:
@@ -261,20 +250,18 @@ def _window_starts(
     return lo, hi
 
 
-def c3_decode(y: Array2D, p: C3Params) -> DecodeOutcome:
+def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
     """Recover the codeword from a burst deletion of t_r rows and t_c columns.
 
     Pipeline: decode the anchor subarray (its distinct-rows property makes
     the position exact), derive per-subarray candidate intervals from the
     anchor position, resolve each remaining subarray by parity, reinterleave,
     and verify membership. The reported intervals range over feasible burst
-    start positions.
+    start positions. The single path is "auto"; any other is refused.
     """
-    if y.q != p.q or (y.rows, y.cols) != (p.n - p.t_r, p.n - p.t_c):
-        raise InvalidParameterError(
-            f"received shape {y.rows}x{y.cols} does not match a {p.t_r}x{p.t_c} "
-            f"burst deletion from {p.n}x{p.n}"
-        )
+    if path != "auto":
+        raise InvalidParameterError(f"the burst decoder has a single path, not {path!r}")
+    require_shape(y, p.n - p.t_r, p.n - p.t_c, p.q, f"a {p.t_r}x{p.t_c} burst deletion")
     y_subs = _subarrays(y, p.t_r, p.t_c)
 
     anchor_out = c2_decode(y_subs[0][0], p.anchor)

@@ -7,6 +7,7 @@ lexicographically, so equality between two balls is plain tuple equality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -126,39 +127,26 @@ def delete_rows_cols(x: Array2D, pattern: DeletionPattern | BurstPattern) -> Arr
         raise InvalidParameterError(f"column index {cols[-1]} exceeds {x.cols}")
     if len(rows) >= x.rows or len(cols) >= x.cols:
         raise InvalidParameterError("deleting every row or column leaves an empty array")
-    drop_r = set(i - 1 for i in rows)
-    drop_c = set(j - 1 for j in cols)
-    kept = tuple(
-        tuple(v for j, v in enumerate(row) if j not in drop_c)
-        for i, row in enumerate(x.cells)
-        if i not in drop_r
-    )
-    return Array2D(kept, x.q)
+    drop_r = frozenset(i - 1 for i in rows)
+    drop_c = frozenset(j - 1 for j in cols)
+    return Array2D(_minor_cells(x.cells, drop_r, drop_c), x.q)
 
 
 def transpose(x: Array2D) -> Array2D:
     return Array2D(tuple(zip(*x.cells)), x.q)
 
 
-def shift_row_to_bottom(x: Array2D, i: int) -> Array2D:
-    """Move row i to the last position, preserving the order of the rest."""
-    if not 1 <= i <= x.rows:
-        raise InvalidParameterError(f"row index {i} outside [1, {x.rows}]")
-    cells = x.cells
-    moved = cells[: i - 1] + cells[i:] + (cells[i - 1],)
-    return Array2D(moved, x.q)
-
-
-def shift_col_to_right(x: Array2D, j: int) -> Array2D:
-    """Move column j to the last position, preserving the order of the rest."""
-    if not 1 <= j <= x.cols:
-        raise InvalidParameterError(f"column index {j} outside [1, {x.cols}]")
-    moved = tuple(row[: j - 1] + row[j:] + (row[j - 1],) for row in x.cells)
-    return Array2D(moved, x.q)
+def require_shape(x: Array2D, rows: int, cols: int, q: int, what: str) -> None:
+    """Raise InvalidParameterError unless x is a rows x cols array over alphabet q."""
+    if (x.rows, x.cols, x.q) != (rows, cols, q):
+        raise InvalidParameterError(
+            f"array {x.rows}x{x.cols} (q={x.q}) does not match {what}: "
+            f"want {rows}x{cols} (q={q})"
+        )
 
 
 def move_last_row_to(x: Array2D, i: int) -> Array2D:
-    """Inverse of shift_row_to_bottom: reinsert the last row at position i."""
+    """Reinsert the last row at position i, preserving the order of the rest."""
     if not 1 <= i <= x.rows:
         raise InvalidParameterError(f"row index {i} outside [1, {x.rows}]")
     cells = x.cells
@@ -167,7 +155,7 @@ def move_last_row_to(x: Array2D, i: int) -> Array2D:
 
 
 def move_last_col_to(x: Array2D, j: int) -> Array2D:
-    """Inverse of shift_col_to_right: reinsert the last column at position j."""
+    """Reinsert the last column at position j, preserving the order of the rest."""
     if not 1 <= j <= x.cols:
         raise InvalidParameterError(f"column index {j} outside [1, {x.cols}]")
     moved = tuple(row[: j - 1] + (row[-1],) + row[j - 1:-1] for row in x.cells)
@@ -243,8 +231,8 @@ def insertion_ball_raw(
     if t_r < 0 or t_c < 0:
         raise InvalidParameterError("insertion widths must be nonnegative")
     n, m, q = x.rows, x.cols, x.q
-    col_pos = (m + 1) if burst else _comb(m + t_c, t_c)
-    row_pos = (n + 1) if burst else _comb(n + t_r, t_r)
+    col_pos = (m + 1) if burst else math.comb(m + t_c, t_c)
+    row_pos = (n + 1) if burst else math.comb(n + t_r, t_r)
     mass = col_pos * q ** (t_c * n) * row_pos * q ** (t_r * (m + t_c))
     if mass > cap:
         raise CapacityError(f"insertion candidate mass {mass} exceeds cap {cap}")
@@ -287,20 +275,6 @@ def insertion_ball_raw(
                     out[i] = fill[k * width:(k + 1) * width]
                 result.add(tuple(out))
     return frozenset(result)
-
-
-def insertion_ball(
-    x: Array2D, t_r: int, t_c: int, burst: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Array2D, ...]:
-    """All distinct arrays whose (burst) deletion ball contains x."""
-    return _canonical(insertion_ball_raw(x, t_r, t_c, burst, cap), x.q)
-
-
-def _comb(a: int, b: int) -> int:
-    import math
-
-    return math.comb(a, b)
 
 
 def extract_residue_subarray(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int) -> Array2D:

@@ -12,7 +12,8 @@ class DecodeOutcome:
 
     row_interval / col_interval bracket the deletion position (or, for burst
     decoding, the window start); lo == hi means the position is exact.
-    path records which decoder route produced the result ("fast" or "scan").
+    path records which decoder route produced the result: "fast" or "scan"
+    (c1_decode, c2_decode), "residue" (c3_decode) or "codebook" (the oracle).
     """
 
     array: Array2D

@@ -1,4 +1,8 @@
-"""Plain-text serialization for class parameters and codebook files.
+"""The construction table, and plain-text serialization for class parameters
+and codebook files.
+
+CONSTRUCTIONS maps each ``construction=`` name to the record of functions that
+serve the family; callers dispatch through it instead of testing types.
 
 Parameter records are flat ``key=value`` lines with comma lists for vectors;
 a ``construction=`` line selects the layout. The burst-code record embeds its
@@ -10,13 +14,15 @@ followed by the arrays in the shared text format, blank-line separated.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .code_c1 import C1Params
-from .code_c2 import C2Params
-from .code_c3 import C3Params
+from .code_c1 import C1Params, c1_check, c1_decode
+from .code_c2 import C2Params, c2_check, c2_decode
+from .code_c3 import C3Params, c3_check, c3_decode
 from .core_array import Array2D, array_from_text, array_to_text
 from .errors import InvalidParameterError
+from .outcome import DecodeOutcome
 
 AnyParams = C1Params | C2Params | C3Params
 
@@ -83,18 +89,6 @@ def _c3_lines(p: C3Params) -> list[str]:
     return lines
 
 
-def params_to_text(p: AnyParams) -> str:
-    if isinstance(p, C1Params):
-        lines = _c1_lines(p)
-    elif isinstance(p, C2Params):
-        lines = _c2_lines(p)
-    elif isinstance(p, C3Params):
-        lines = _c3_lines(p)
-    else:
-        raise InvalidParameterError(f"cannot serialize {type(p).__name__}")
-    return "\n".join(lines) + "\n"
-
-
 class _Record:
     """A key=value record that tracks consumption so leftovers are rejected."""
 
@@ -156,7 +150,9 @@ def _split_lines(text: str) -> dict[str, str]:
     return fields
 
 
-def _parse_c1(rec: _Record) -> C1Params:
+def _parse_c1(fields: dict[str, str]) -> C1Params:
+    rec = _Record(fields, "c1")
+    rec.take("construction")
     p = C1Params(
         n=rec.take_int("n"),
         q=rec.take_int("q"),
@@ -170,7 +166,10 @@ def _parse_c1(rec: _Record) -> C1Params:
     return p
 
 
-def _parse_c2(rec: _Record) -> C2Params:
+def _parse_c2(fields: dict[str, str], what: str = "c2") -> C2Params:
+    rec = _Record(fields, what)
+    if rec.take("construction") != "c2":
+        raise InvalidParameterError(f"{what} record must use construction=c2")
     if rec.has("n"):
         rows = cols = rec.take_int("n")
     else:
@@ -215,16 +214,16 @@ def _parse_c3(fields: dict[str, str]) -> C3Params:
     t_c = rec.take_int("tc")
     l = rec.take_int("l")
     rec.finish()
+    # Checked before anything sized t_r x t_c exists; the slot checks below
+    # only walk the slots the record text actually holds.
+    if t_r < 1 or t_c < 1 or n < 1 or n % t_r or n % t_c:
+        raise InvalidParameterError(f"burst lengths ({t_r}, {t_c}) must divide n={n}")
+    anchor = _parse_c2(anchor_fields, "anchor")
 
-    anchor_rec = _Record(anchor_fields, "anchor")
-    if anchor_rec.take("construction") != "c2":
-        raise InvalidParameterError("anchor sub-record must use construction=c2")
-    anchor = _parse_c2(anchor_rec)
-
-    wanted = {(s_r, s_c) for s_r in range(1, t_r + 1) for s_c in range(1, t_c + 1)}
-    if set(slots) != wanted:
+    in_grid = all(1 <= s_r <= t_r and 1 <= s_c <= t_c for s_r, s_c in slots)
+    if not in_grid or len(slots) != t_r * t_c:
         raise InvalidParameterError(
-            f"residue records cover {sorted(slots)}, want {sorted(wanted)}"
+            f"residue records cover {sorted(slots)}, want (1,1) to ({t_r},{t_c})"
         )
     grids: dict[str, list[list[tuple[int, ...]]]] = {k: [] for k in "abd"}
     for s_r in range(1, t_r + 1):
@@ -248,20 +247,56 @@ def _parse_c3(fields: dict[str, str]) -> C3Params:
     )
 
 
+@dataclass(frozen=True)
+class Construction:
+    """One code family: its parameter type and the functions that serve it.
+
+    decode takes (y, params, path) and accepts every name in paths; burst
+    marks families whose channel deletes consecutive windows.
+    """
+
+    name: str
+    params: type
+    check: Callable[[Array2D, AnyParams], bool]
+    decode: Callable[..., DecodeOutcome]
+    paths: tuple[str, ...]
+    burst: bool
+    to_lines: Callable[[AnyParams], list[str]]
+    parse: Callable[[dict[str, str]], AnyParams]
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    c.name: c
+    for c in (
+        Construction("c1", C1Params, c1_check, c1_decode, ("auto", "fast", "scan"), False,
+                     _c1_lines, _parse_c1),
+        Construction("c2", C2Params, c2_check, c2_decode, ("auto", "fast", "scan"), False,
+                     _c2_lines, _parse_c2),
+        Construction("c3", C3Params, c3_check, c3_decode, ("auto",), True,
+                     _c3_lines, _parse_c3),
+    )
+}
+_BY_TYPE = {c.params: c for c in CONSTRUCTIONS.values()}
+
+
+def construction_of(p: AnyParams) -> Construction:
+    """The table record for a parameter object, looked up by its exact type."""
+    try:
+        return _BY_TYPE[type(p)]
+    except KeyError:
+        raise InvalidParameterError(f"no construction takes {type(p).__name__}") from None
+
+
+def params_to_text(p: AnyParams) -> str:
+    return "\n".join(construction_of(p).to_lines(p)) + "\n"
+
+
 def params_from_text(text: str) -> AnyParams:
     fields = _split_lines(text)
     kind = fields.get("construction")
-    if kind == "c1":
-        rec = _Record(fields, "c1")
-        rec.take("construction")
-        return _parse_c1(rec)
-    if kind == "c2":
-        rec = _Record(fields, "c2")
-        rec.take("construction")
-        return _parse_c2(rec)
-    if kind == "c3":
-        return _parse_c3(fields)
-    raise InvalidParameterError(f"unknown construction {kind!r}")
+    if kind not in CONSTRUCTIONS:
+        raise InvalidParameterError(f"unknown construction {kind!r}")
+    return CONSTRUCTIONS[kind].parse(fields)
 
 
 def codebook_to_text(arrays: Sequence[Array2D], n: int | None = None, q: int | None = None) -> str:

@@ -1,16 +1,21 @@
-"""Hypothesis-scan support for decoding with position-dependent sum constraints.
+"""Decoder helpers shared by the code constructions.
 
-Given a received minor Y and indexed column/row sum vectors, each deletion
-hypothesis (i, j) forces a unique candidate array: the missing symbols in
-every surviving column and row are pinned by their sum constraints and the
-corner by the deleted row's own sum. Decoders enumerate hypotheses, screen
-candidates cheaply, and keep those passing the full membership test.
+Hypothesis scan: given a received minor Y and indexed column/row sum vectors,
+each deletion hypothesis (i, j) forces a unique candidate array: the missing
+symbols in every surviving column and row are pinned by their sum constraints
+and the corner by the deleted row's own sum. Decoders enumerate hypotheses,
+screen candidates cheaply, and keep those passing the full membership test.
+
+Fast paths: completion of a minor under uniform sums, and resolution of a
+two-candidate deletion position by band and row inversion parities.
 """
 from __future__ import annotations
 
 from .core_array import Array2D
-from .errors import InvalidParameterError
-from .onedim import comp_rank, composition, signature_syndrome
+from .errors import AmbiguityError, CodePropertyError, InvalidParameterError, NotACodewordError
+from .onedim import comp_rank, composition, inversions, signature_syndrome
+from .outcome import DecodeOutcome
+from .reprs import cir, rir
 
 
 class ScanContext:
@@ -86,3 +91,89 @@ class ScanContext:
                 yi += 1
                 out.append(yrow[: j_hyp - 1] + (new_col[r - 1],) + yrow[j_hyp - 1:])
         return Array2D(tuple(out), self.q)
+
+
+def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
+    """The unique surviving candidate with the hypothesis range that produced it."""
+    if not survivors:
+        raise NotACodewordError("no deletion hypothesis yields a class member")
+    if len(survivors) > 1:
+        raise AmbiguityError(
+            f"{len(survivors)} distinct codewords explain the input; "
+            "the class is not deletion correcting on this instance"
+        )
+    array, hyps = next(iter(survivors.items()))
+    rows = [i for i, _ in hyps]
+    cols = [j for _, j in hyps]
+    return DecodeOutcome(
+        array=array,
+        row_interval=(min(rows), max(rows)),
+        col_interval=(min(cols), max(cols)),
+        path=path,
+    )
+
+
+def complete_array(y: Array2D, a_val: int, b_val: int) -> Array2D:
+    """Append the column and row forced by uniform sums (deleted ones shifted last)."""
+    q = y.q
+    bottom = [(a_val - sum(col)) % q for col in zip(*y.cells)]
+    right = [(b_val - sum(row)) % q for row in y.cells]
+    corner = (b_val - sum(bottom)) % q
+    cells = tuple(
+        row + (right[i],) for i, row in enumerate(y.cells)
+    ) + (tuple(bottom) + (corner,),)
+    return Array2D(cells, q)
+
+
+def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
+    """Inversion parities of the three height-l bands' column integers, then of
+    the row integers."""
+    out = []
+    for k in range(3):
+        band = Array2D(x.cells[k * l:(k + 1) * l], x.q)
+        out.append(inversions(cir(band)) % 2)
+    return tuple(out) + (inversions(rir(x)) % 2,)
+
+
+def disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
+    """1-based index of a band whose rows avoid the row interval."""
+    lo, hi = row_interval
+    for k in range(1, 4):
+        if k * l < lo or (k - 1) * l + 1 > hi:
+            return k
+    raise CodePropertyError("no band avoids the row interval")
+
+
+def band_rows(x: Array2D, k: int, l: int, row_interval: tuple[int, int]):
+    """Rows of band k as they sit in x, a minor or its completion.
+
+    Bands above the deleted row are unshifted; bands below it moved up one.
+    """
+    first, last = (k - 1) * l + 1, k * l
+    shift = 1 if first > row_interval[1] else 0
+    return [x.cells[r - 1 - shift] for r in range(first, last + 1)]
+
+
+def column_int(rows, j: int, q: int) -> int:
+    """Base-q integer read down column j (0-based) of the given rows."""
+    value = 0
+    for row in rows:
+        value = value * q + row[j]
+    return value
+
+
+def resolve_by_parity(seq, v, cands, parity_bit, what):
+    """Choose the insertion position of v among <=2 candidates by inversion parity."""
+    if len(cands) == 1:
+        return cands[0], True
+    first = seq[: cands[0] - 1] + (v,) + seq[cands[0] - 1:]
+    second = seq[: cands[1] - 1] + (v,) + seq[cands[1] - 1:]
+    if first == second:
+        return cands[0], False
+    matches = [
+        pos for pos, cand in zip(cands, (first, second))
+        if inversions(cand) % 2 == parity_bit
+    ]
+    if not matches:
+        raise NotACodewordError(f"no {what} candidate matches the inversion parity")
+    return matches[0], True

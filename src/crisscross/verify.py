@@ -16,9 +16,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .code_c1 import c1_decode, c1_syndromes
-from .code_c2 import c2_decode, c2_syndromes, default_band_height
-from .code_c3 import c3_decode, c3_syndromes
+from .code_c1 import c1_syndromes
+from .code_c2 import c2_syndromes, default_band_height
+from .code_c3 import c3_syndromes
 from .core_array import (
     Array2D,
     BurstPattern,
@@ -28,6 +28,7 @@ from .core_array import (
     deletion_ball_raw,
     insertion_ball_raw,
     interleave_residue_subarrays,
+    require_shape,
     transpose,
 )
 from .errors import (
@@ -39,11 +40,11 @@ from .errors import (
     SamplingError,
 )
 from .outcome import DecodeOutcome
+from .params_io import CONSTRUCTIONS
 from .reprs import ccr, is_good, is_l_weakly_valid, rows_are_distinct
 
 DEFAULT_TRIAL_BUDGET = 10**6
 PAIR_CAP = 1 << 26
-CONSTRUCTIONS = ("c1", "c2", "c3")
 
 
 @dataclass(frozen=True)
@@ -174,11 +175,7 @@ def decode_by_codebook(
     ball = _ball_fn(mode)
     arrays = list(arrays)
     rows, cols, q = _require_uniform_book(arrays)
-    if y.q != q or (y.rows, y.cols) != (rows - t_r, cols - t_c):
-        raise InvalidParameterError(
-            f"received shape {y.rows}x{y.cols} does not match ({t_r}, {t_c}) "
-            f"deletions from {rows}x{cols}"
-        )
+    require_shape(y, rows - t_r, cols - t_c, q, f"({t_r}, {t_c}) deletions from the codebook")
     hits: list[Array2D] = []
     for x in arrays:
         if y.cells in ball(x, t_r, t_c) and all(x != seen for seen in hits):
@@ -365,35 +362,38 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.construction not in CONSTRUCTIONS:
             raise InvalidParameterError(
-                f"construction must be one of {CONSTRUCTIONS}, got {self.construction!r}"
+                f"construction must be one of {tuple(CONSTRUCTIONS)}, got {self.construction!r}"
             )
         if self.trials < 0 or self.n < 2 or self.q < 2 or self.budget < 1:
             raise InvalidParameterError("need trials >= 0, n >= 2, q >= 2, budget >= 1")
-        if self.construction in ("c1", "c2") and (self.t_r, self.t_c) != (1, 1):
+        burst = CONSTRUCTIONS[self.construction].burst
+        if not burst and (self.t_r, self.t_c) != (1, 1):
             raise InvalidParameterError(
                 "single-deletion constructions require t_r = t_c = 1"
             )
-        if self.construction == "c3" and not self.burst:
+        if burst and not self.burst:
             raise InvalidParameterError("the residue construction corrects bursts only")
-        if self.construction == "c3" and (self.n % self.t_r or self.n % self.t_c):
+        if burst and (self.n % self.t_r or self.n % self.t_c):
             raise InvalidParameterError("burst lengths must divide n")
 
     @property
     def band_height(self) -> int:
         if self.l is not None:
             return self.l
-        rows = self.n // self.t_r if self.construction == "c3" else self.n
-        return default_band_height(rows, self.q)
+        return default_band_height(self.n // self.t_r, self.q)
 
 
-def _sample_codeword(cfg: TrialConfig, rng: random.Random) -> Array2D:
+def _draw(cfg: TrialConfig, rng: random.Random):
+    """A sampled codeword for cfg and the parameters of its class."""
     l = cfg.band_height
     if cfg.construction == "c1":
-        return sample_good(cfg.n, cfg.q, rng, cfg.budget, cfg.uniform_sums)
+        x = sample_good(cfg.n, cfg.q, rng, cfg.budget, cfg.uniform_sums)
+        return x, c1_syndromes(x)
     if cfg.construction == "c2":
-        return sample_valid(
+        x = sample_valid(
             cfg.n, cfg.n, cfg.q, l, rng, cfg.budget, cfg.uniform_sums, cfg.rows_distinct
         )
+        return x, c2_syndromes(x, l, cfg.rows_distinct)
     m_r, m_c = cfg.n // cfg.t_r, cfg.n // cfg.t_c
     parts = []
     for s in range(cfg.t_r):
@@ -413,24 +413,8 @@ def _sample_codeword(cfg: TrialConfig, rng: random.Random) -> Array2D:
                     )
                 )
         parts.append(row)
-    return interleave_residue_subarrays(parts, cfg.t_r, cfg.t_c)
-
-
-def _instantiate(cfg: TrialConfig, x: Array2D):
-    l = cfg.band_height
-    if cfg.construction == "c1":
-        return c1_syndromes(x)
-    if cfg.construction == "c2":
-        return c2_syndromes(x, l, cfg.rows_distinct)
-    return c3_syndromes(x, cfg.t_r, cfg.t_c, l)
-
-
-def _decode(cfg: TrialConfig, y: Array2D, params) -> DecodeOutcome:
-    if cfg.construction == "c1":
-        return c1_decode(y, params)
-    if cfg.construction == "c2":
-        return c2_decode(y, params)
-    return c3_decode(y, params)
+    x = interleave_residue_subarrays(parts, cfg.t_r, cfg.t_c)
+    return x, c3_syndromes(x, cfg.t_r, cfg.t_c, l)
 
 
 def simulate_trials(cfg: TrialConfig) -> TrialStats:
@@ -440,14 +424,14 @@ def simulate_trials(cfg: TrialConfig) -> TrialStats:
     reported intervals contain the true deletion position (burst: the true
     window start). Failures carry the sub-seed and pattern for replay.
     """
+    decode = CONSTRUCTIONS[cfg.construction].decode
     successes = 0
     failures = []
     total_time = 0.0
     for index in range(cfg.trials):
         rng = random.Random(_subseed(cfg.seed, index))
-        x = _sample_codeword(cfg, rng)
-        params = _instantiate(cfg, x)
-        if cfg.burst or cfg.construction == "c3":
+        x, params = _draw(cfg, rng)
+        if cfg.burst:  # burst constructions refuse configs without it
             r0 = rng.randint(1, cfg.n - cfg.t_r + 1)
             c0 = rng.randint(1, cfg.n - cfg.t_c + 1)
             pattern = BurstPattern(r0, c0, cfg.t_r, cfg.t_c)
@@ -462,7 +446,7 @@ def simulate_trials(cfg: TrialConfig) -> TrialStats:
 
         start = time.perf_counter()
         try:
-            out = _decode(cfg, y, params)
+            out = decode(y, params)
             ok = (
                 out.array == x
                 and out.row_interval[0] <= row_truth <= out.row_interval[1]

@@ -67,6 +67,14 @@ def test_bounds_bad_range_spec(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bounds_refuses_huge_ranges_before_expanding(capsys):
+    assert main(["bounds", "--n", "1:10000000000", "--q", "2"]) == 2
+    assert "more than" in capsys.readouterr().err
+    assert main(["bounds", "--n", f"1:{10**30}", "--q", "2"]) == 2
+    assert main(["bounds", "--n", "4", "--q", ",".join(["2"] * 10_001)]) == 2
+    capsys.readouterr()
+
+
 def test_check_member_and_tampered(capsys, tmp_path, c1_files):
     x, params, arr = c1_files
     assert main(["check", "--params", str(params), "--array", str(arr)]) == 0

@@ -135,6 +135,17 @@ def test_decode_shape_guard():
         c3_decode(x, p)  # not a burst minor
 
 
+def test_decode_refuses_paths_other_than_auto():
+    rng = random.Random(6)
+    x = make_codeword(rng, 8, 3, 2, 2, 1)
+    p = c3_syndromes(x, 2, 2, 1)
+    y = delete_rows_cols(x, BurstPattern(3, 5, 2, 2))
+    assert c3_decode(y, p, path="auto").array == x
+    for path in ("fast", "scan", "residue"):
+        with pytest.raises(InvalidParameterError, match="single path"):
+            c3_decode(y, p, path=path)
+
+
 def test_position_dependent_sums_fail_honestly():
     rng = random.Random(77)
     wrong, honest, clean = 0, 0, 0

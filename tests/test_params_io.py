@@ -1,6 +1,7 @@
 """Text round trips for class parameters and codebook files."""
 
 import random
+import time
 
 import pytest
 
@@ -10,8 +11,10 @@ from crisscross.code_c3 import c3_syndromes
 from crisscross.core_array import Array2D, interleave_residue_subarrays
 from crisscross.errors import InvalidParameterError
 from crisscross.params_io import (
+    CONSTRUCTIONS,
     codebook_from_text,
     codebook_to_text,
+    construction_of,
     params_from_text,
     params_to_text,
 )
@@ -121,6 +124,33 @@ def test_c3_missing_residue_record_is_rejected():
     )
     with pytest.raises(InvalidParameterError, match="residue records cover"):
         params_from_text(pruned)
+
+
+def test_c3_burst_lengths_are_checked_before_the_slot_grid():
+    text = params_to_text(_c3_fixture())
+    assert text.startswith("construction=c3\nn=8\n")
+    for n in (8, 10**12):  # 10**6 does not divide 8; it does divide 10**12
+        huge = (
+            text.replace("\nn=8\n", f"\nn={n}\n", 1)
+            .replace("\ntr=2\n", f"\ntr={10**6}\n", 1)
+            .replace("\ntc=2\n", f"\ntc={10**6}\n", 1)
+        )
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError):
+            params_from_text(huge)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_construction_table_matches_the_records():
+    c2 = c2_syndromes(sample_valid(6, 6, 2, 2, random.Random(2)), 2, False)
+    for p in (_c1_fixture(), c2, _c3_fixture()):
+        construction = construction_of(p)
+        assert CONSTRUCTIONS[construction.name] is construction
+        assert params_to_text(p).startswith(f"construction={construction.name}\n")
+        assert type(params_from_text(params_to_text(p))) is construction.params
+    assert [c.burst for c in CONSTRUCTIONS.values()] == [False, False, True]
+    with pytest.raises(InvalidParameterError):
+        construction_of(object())
 
 
 def test_c3_anchor_must_be_the_band_construction():

@@ -1,0 +1,61 @@
+"""Source-structure rules for the package, checked on the syntax tree.
+
+Modules share helpers only through public names, import only at module level,
+and choose a construction through the table in params_io rather than by
+testing parameter types.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crisscross"
+PARAMS_TYPES = {"C1Params", "C2Params", "C3Params"}
+TABLE_MODULE = "params_io.py"
+
+
+def _trees():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {p.name for p in paths} >= {"cli.py", TABLE_MODULE, "scan.py", "verify.py"}
+    return [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+
+
+def _is_package_import(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "crisscross"
+
+
+def test_no_private_names_imported_from_sibling_modules():
+    bad = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _is_package_import(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not bad
+
+
+def test_no_imports_inside_functions():
+    bad = [
+        f"{name}:{inner.lineno} in {func.name}"
+        for name, tree in _trees()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(func)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert not bad
+
+
+def test_no_isinstance_on_params_types_outside_the_table():
+    bad = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name != TABLE_MODULE
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and PARAMS_TYPES & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    ]
+    assert not bad
