@@ -47,7 +47,8 @@ EXIT_DECODE = 3
 EXIT_AMBIGUOUS = 4
 EXIT_CAPACITY = 5
 
-# Most values one --n/--q style list may expand to; checked before expanding.
+# Most values one --n/--q style list may expand to, and most rows one bounds
+# grid may print; both are checked before anything is expanded or written.
 MAX_LIST_VALUES = 10_000
 
 
@@ -103,9 +104,16 @@ def _parse_positions(spec: str, what: str) -> tuple[int, ...]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    ns = _parse_values(args.n, "n")
+    qs = _parse_values(args.q, "q")
+    if len(ns) * len(qs) > MAX_LIST_VALUES:
+        raise InvalidParameterError(
+            f"{len(ns)} n values times {len(qs)} q values make more than "
+            f"{MAX_LIST_VALUES} rows"
+        )
     sys.stdout.write("n,q,tr,tc,sp_bits,gv_bits,epsilon,run_threshold,hypothesis_ok\n")
-    for n in _parse_values(args.n, "n"):
-        for q in _parse_values(args.q, "q"):
+    for n in ns:
+        for q in qs:
             det = sp_lower_bound(n, q, args.tr, args.tc)
             gv = gv_upper_bound(n, q, args.tr, args.tc)
             ok = "true" if det.hypothesis_ok else "false"

@@ -178,6 +178,7 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
     """
     if path not in ("auto", "fast", "scan"):
         raise InvalidParameterError(f"unknown decode path {path!r}")
+    require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
     if path == "auto":
         path = "fast" if p.uniform else "scan"
     if path == "fast":

@@ -24,20 +24,23 @@ class Array2D:
     def __init__(self, cells: Iterable[Iterable[int]], q: int):
         if q < 2:
             raise InvalidParameterError(f"alphabet size must be at least 2, got {q}")
-        norm = tuple(tuple(int(v) for v in row) for row in cells)
-        if not norm or not norm[0]:
-            raise InvalidParameterError("arrays must have at least one row and one column")
-        width = len(norm[0])
-        for row in norm:
-            if len(row) != width:
-                raise InvalidParameterError("ragged rows: all rows must share one length")
-            for v in row:
-                if not 0 <= v < q:
-                    raise InvalidParameterError(f"cell value {v} outside [0, {q})")
+        norm = tuple(map(tuple, cells))
+        # Clean input (rectangular, exact ints in range) passes these C-level
+        # scans as-is; anything else is normalised and checked cell by cell.
+        flat = itertools.chain.from_iterable
+        if not (
+            norm
+            and norm[0]
+            and len(set(map(len, norm))) == 1
+            and set(map(type, flat(norm))) == {int}
+            and min(flat(norm)) >= 0
+            and max(flat(norm)) < q
+        ):
+            norm = _checked_cells(norm, q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cells", norm)
         object.__setattr__(self, "rows", len(norm))
-        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "cols", len(norm[0]))
         object.__setattr__(self, "_hash", hash((q, norm)))
 
     def __setattr__(self, name, value):
@@ -76,6 +79,21 @@ class Array2D:
     def col_sums(self) -> tuple[int, ...]:
         q = self.q
         return tuple(sum(col) % q for col in zip(*self.cells))
+
+
+def _checked_cells(cells: tuple, q: int) -> tuple[tuple[int, ...], ...]:
+    """Cells converted with int(), or InvalidParameterError naming the first fault."""
+    norm = tuple(tuple(int(v) for v in row) for row in cells)
+    if not norm or not norm[0]:
+        raise InvalidParameterError("arrays must have at least one row and one column")
+    width = len(norm[0])
+    for row in norm:
+        if len(row) != width:
+            raise InvalidParameterError("ragged rows: all rows must share one length")
+        for v in row:
+            if not 0 <= v < q:
+                raise InvalidParameterError(f"cell value {v} outside [0, {q})")
+    return norm
 
 
 @dataclass(frozen=True)

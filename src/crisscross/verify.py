@@ -226,23 +226,40 @@ def _sum_classes(rows: int, cols: int, q: int) -> list[tuple[int, int]]:
     ]
 
 
-def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int) -> list[list[int]]:
-    """One draw from a sum-class: a seed array with all row sums r and column
-    sums c, scrambled by rectangle updates (which preserve sums mod q)."""
-    r, c = rng.choice(_sum_classes(rows, cols, q))
-    cells = [[0] * cols for _ in range(rows)]
-    for i in range(rows - 1):
-        cells[i][cols - 1] = r
-    for j in range(cols - 1):
-        cells[rows - 1][j] = c
-    cells[rows - 1][cols - 1] = (c - (rows - 1) * r) % q
-    for _ in range(4 * (rows + cols)):
-        i1, i2 = rng.sample(range(rows), 2)
-        j1, j2 = rng.sample(range(cols), 2)
-        delta = rng.randrange(1, q)
-        for (i, j, sgn) in ((i1, j1, 1), (i1, j2, -1), (i2, j2, 1), (i2, j1, -1)):
-            cells[i][j] = (cells[i][j] + sgn * delta) % q
-    return cells
+def _sum_class_cells(rows: int, cols: int, q: int, r: int, c: int, v: int):
+    """The member of sum class (r, c) whose free (rows-1) x (cols-1) block has
+    base-q value v, in [0, q**((rows-1)*(cols-1))).
+
+    Digits fill the block row-major, least significant first. The last column
+    is forced by the row sums, then the last row and the corner by the column
+    sums; (r, c) must come from _sum_classes, so the last row also sums to r.
+    Every class therefore has exactly q**((rows-1)*(cols-1)) members, one per v.
+    """
+    width = cols - 1
+    base = q**width
+    body = []
+    for _ in range(rows - 1):
+        v, chunk = divmod(v, base)
+        row = []
+        for _ in range(width):
+            chunk, d = divmod(chunk, q)
+            row.append(d)
+        row.append((r - sum(row)) % q)
+        body.append(tuple(row))
+    body.append(tuple((c - sum(col)) % q for col in zip(*body)))
+    return tuple(body)
+
+
+def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int, classes=None):
+    """An exactly uniform draw over the rows x cols arrays with constant row
+    sums and constant column sums (mod q): a uniform class from classes
+    (default _sum_classes), then a uniform member of it. All classes have
+    equal size, so the two steps compose to the uniform distribution."""
+    if classes is None:
+        classes = _sum_classes(rows, cols, q)
+    r, c = rng.choice(classes)
+    v = rng.randrange(q ** ((rows - 1) * (cols - 1)))
+    return _sum_class_cells(rows, cols, q, r, c, v)
 
 
 def _rejection_sample(
@@ -255,15 +272,19 @@ def _rejection_sample(
     uniform_sums: bool,
     what: str,
 ) -> Array2D:
+    """Draw uniform arrays (all arrays of the shape, or with uniform_sums the
+    constant-sum ones) until every check passes, so the result is uniform over
+    the arrays that pass."""
     if uniform_sums and (rows < 2 or cols < 2):
         raise InvalidParameterError("uniform-sum sampling needs at least a 2x2 shape")
+    classes = _sum_classes(rows, cols, q) if uniform_sums else None
     rejections: Counter[str] = Counter()
     for _ in range(budget):
         if uniform_sums:
-            cells = _uniform_sum_cells(rng, rows, cols, q)
+            cells = _uniform_sum_cells(rng, rows, cols, q, classes)
         else:
             cells = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        x = Array2D(tuple(tuple(row) for row in cells), q)
+        x = Array2D(cells, q)
         for name, pred in checks:
             if not pred(x):
                 rejections[name] += 1
@@ -289,7 +310,11 @@ def sample_good(
     budget: int = DEFAULT_TRIAL_BUDGET,
     uniform_sums: bool = False,
 ) -> Array2D:
-    """Random n x n array with pairwise distinct adjacent column compositions."""
+    """Random n x n array with pairwise distinct adjacent column compositions.
+
+    Uniform over the good arrays of the shape, or with uniform_sums over the
+    good arrays whose row sums and column sums are each constant (mod q).
+    """
     return _rejection_sample(
         rng, n, n, q,
         [("adjacent column compositions equal", is_good)],
@@ -306,7 +331,11 @@ def sample_weakly_valid(
     budget: int = DEFAULT_TRIAL_BUDGET,
     uniform_sums: bool = False,
 ) -> Array2D:
-    """Random array whose three height-l bands have distinct adjacent columns."""
+    """Random array whose three height-l bands have distinct adjacent columns.
+
+    Uniform over such arrays of the shape (with uniform_sums: over those with
+    constant row sums and constant column sums).
+    """
     return _rejection_sample(
         rng, rows, cols, q,
         [("band adjacency", lambda x: is_l_weakly_valid(x, l))],
@@ -326,8 +355,10 @@ def sample_valid(
 ) -> Array2D:
     """Random band-valid array; optionally with distinct consecutive rows.
 
-    The predicates are checked in order so the sampling diagnostics name the
-    dominant rejection cause.
+    Uniform over the arrays of the shape that pass every predicate (with
+    uniform_sums: over those among the constant-row-sum, constant-column-sum
+    arrays). The predicates are checked in order so the sampling diagnostics
+    name the dominant rejection cause.
     """
     checks = [
         ("band adjacency", lambda x: is_l_weakly_valid(x, l)),

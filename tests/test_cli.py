@@ -75,6 +75,13 @@ def test_bounds_refuses_huge_ranges_before_expanding(capsys):
     capsys.readouterr()
 
 
+def test_bounds_refuses_huge_grid_before_writing(capsys):
+    assert main(["bounds", "--n", "2:10001", "--q", "2:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than" in captured.err
+
+
 def test_check_member_and_tampered(capsys, tmp_path, c1_files):
     x, params, arr = c1_files
     assert main(["check", "--params", str(params), "--array", str(arr)]) == 0

@@ -161,3 +161,19 @@ def test_position_dependent_sums_fail_honestly():
             wrong += 1
     assert wrong == 0
     assert honest > 0  # the failure mode genuinely occurs at this size
+
+
+def test_decode_refuses_minor_over_other_alphabet_on_every_path():
+    rng = random.Random(5)
+    uniform = sample_valid(9, 9, 2, 3, rng, uniform_sums=True)
+    plain = Array2D([[rng.randrange(2) for _ in range(9)] for _ in range(9)], 2)
+    ternary = [
+        Array2D([[rng.randrange(3) for _ in range(8)] for _ in range(8)], 3),
+        Array2D([[2] * 8] * 8, 3),
+    ]
+    for x in (uniform, plain):
+        p = c2_syndromes(x, 3)
+        for y in ternary:
+            for path in ("auto", "scan"):
+                with pytest.raises(InvalidParameterError, match="a single deletion"):
+                    c2_decode(y, p, path=path)

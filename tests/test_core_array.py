@@ -1,6 +1,7 @@
 """Array container, deletion patterns, balls, residue interleaving, text IO."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,84 @@ def test_array_construction_and_accessors():
         X33.q = 4
     with pytest.raises(InvalidParameterError):
         X33.at(0, 1)
+
+
+def _reference_cells(cells, q):
+    """The per-cell int() normalisation and checks, as a reference for Array2D."""
+    norm = tuple(tuple(int(v) for v in row) for row in cells)
+    if not norm or not norm[0]:
+        raise InvalidParameterError("arrays must have at least one row and one column")
+    for row in norm:
+        if len(row) != len(norm[0]):
+            raise InvalidParameterError("ragged rows: all rows must share one length")
+        for v in row:
+            if not 0 <= v < q:
+                raise InvalidParameterError(f"cell value {v} outside [0, {q})")
+    return norm
+
+
+def _array_cells(cells, q):
+    out = Array2D(cells, q).cells
+    assert all(type(v) is int for row in out for v in row)
+    return out
+
+
+def _outcome(build, cells, q):
+    try:
+        return build(cells, q)
+    except InvalidParameterError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize(
+    "cells, q, expected",
+    [
+        ([[True, False], [False, True]], 2, ((1, 0), (0, 1))),
+        ([[1.0, 0.0]], 2, ((1, 0),)),
+        ([[0, -1]], 2, ("error", "cell value -1 outside [0, 2)")),
+        ([[0, 1], [2, 0]], 2, ("error", "cell value 2 outside [0, 2)")),
+        ([[True, 2]], 2, ("error", "cell value 2 outside [0, 2)")),
+        ([[0, 1], [1]], 2, ("error", "ragged rows: all rows must share one length")),
+        ([[0, 5], [1]], 2, ("error", "cell value 5 outside [0, 2)")),
+        ([], 2, ("error", "arrays must have at least one row and one column")),
+        ([[]], 2, ("error", "arrays must have at least one row and one column")),
+        ([[], [0]], 2, ("error", "arrays must have at least one row and one column")),
+    ],
+)
+def test_array_normalises_and_rejects_like_per_cell_checks(cells, q, expected):
+    assert _outcome(_reference_cells, cells, q) == expected
+    assert _outcome(_array_cells, cells, q) == expected
+
+
+def test_array_accepts_one_pass_iterables():
+    x = Array2D((iter(row) for row in ((2, 1), (0, 2))), 3)
+    assert x.cells == ((2, 1), (0, 2))
+
+
+def test_array_with_huge_alphabet_allocates_nothing_alphabet_sized():
+    tracemalloc.start()
+    try:
+        x = Array2D([[0, 1, 2], [3, 4, 5]], 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.cells == ((0, 1, 2), (3, 4, 5))
+    assert peak < 64 * 1024
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(
+        st.lists(
+            st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 2.0])),
+            max_size=3,
+        ),
+        max_size=3,
+    ),
+)
+def test_array_agrees_with_per_cell_reference(q, cells):
+    assert _outcome(_array_cells, cells, q) == _outcome(_reference_cells, cells, q)
 
 
 def test_array_equality_includes_alphabet():

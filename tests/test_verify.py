@@ -4,6 +4,7 @@ decoding, samplers, and the reproducible trial harness."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from crisscross.core_array import (
     DeletionPattern,
     delete_rows_cols,
     deletion_ball_raw,
+    enumerate_arrays,
 )
 from crisscross.errors import (
     AmbiguityError,
@@ -28,6 +30,8 @@ from crisscross.verify import (
     TrialStats,
     VerificationReport,
     _subseed,
+    _sum_class_cells,
+    _sum_classes,
     _uniform_sum_cells,
     decode_by_codebook,
     duality_check,
@@ -186,6 +190,44 @@ def test_uniform_sum_cells_have_constant_sums():
             row_sums = {sum(row) % q for row in cells}
             col_sums = {sum(col) % q for col in zip(*cells)}
             assert len(row_sums) == 1 and len(col_sums) == 1
+
+
+def _uniform_sum_members(rows, cols, q, r, c):
+    return sorted(
+        x.cells
+        for x in enumerate_arrays(rows, cols, q)
+        if set(x.row_sums()) == {r} and set(x.col_sums()) == {c}
+    )
+
+
+@pytest.mark.parametrize("rows, cols, q", [(3, 3, 2), (2, 3, 3), (3, 2, 4)])
+def test_sum_class_map_is_a_bijection_onto_each_class(rows, cols, q):
+    free = q ** ((rows - 1) * (cols - 1))
+    for r, c in _sum_classes(rows, cols, q):
+        images = [_sum_class_cells(rows, cols, q, r, c, v) for v in range(free)]
+        assert sorted(images) == _uniform_sum_members(rows, cols, q, r, c)
+
+
+def _chi_square(counts, support, draws):
+    expected = draws / len(support)
+    assert set(counts) <= set(support)
+    return sum((counts[k] - expected) ** 2 / expected for k in support)
+
+
+def test_uniform_sum_draws_are_uniform_before_and_after_rejection():
+    # 3x3 binary: classes (0, 0) and (1, 1), 16 arrays each; 6 of the 32 are good
+    support = [
+        cells for r, c in _sum_classes(3, 3, 2) for cells in _uniform_sum_members(3, 3, 2, r, c)
+    ]
+    good = [cells for cells in support if is_good(Array2D(cells, 2))]
+    assert (len(support), len(good)) == (32, 6)
+    # generous bounds: about df + 6 * sqrt(2 * df) for df = 31 and df = 5
+    rng = random.Random(2026)
+    draws = Counter(_uniform_sum_cells(rng, 3, 3, 2) for _ in range(3200))
+    assert _chi_square(draws, support, 3200) < 80
+    rng = random.Random(2027)
+    kept = Counter(sample_good(3, 2, rng, uniform_sums=True).cells for _ in range(1200))
+    assert _chi_square(kept, good, 1200) < 25
 
 
 def test_samplers_meet_their_postconditions():
