@@ -6,7 +6,6 @@ syndrome, and row-integer signature syndrome match the class parameters.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,7 +26,7 @@ from .errors import (
 from .onedim import comp_rank, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
 from .reprs import ccr, rir
-from .scan import ScanContext, complete_array, scan_verdict
+from .scan import ScanContext, column_rank_screen, complete_array, scan_verdict
 
 
 @dataclass(frozen=True)
@@ -150,14 +149,16 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
 
 
 def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
-    n = p.n
     ctx = ScanContext(y, p.a, p.full_b)
     survivors: dict[Array2D, list[tuple[int, int]]] = {}
-    for i_hyp, j_hyp in itertools.product(range(1, n + 1), repeat=2):
-        new_row, new_col = ctx.forced_insertions(i_hyp, j_hyp)
-        if ctx.col_rank_syndrome(j_hyp, new_row, new_col) != p.c:
+    for i_hyp, j_hyp, distinct in column_rank_screen(ctx, p.c):
+        if not distinct:
             continue
-        cand = ctx.assemble(i_hyp, j_hyp, new_row, new_col)
+        rows = ctx.candidate_rows(i_hyp, j_hyp, *ctx.forced_insertions(i_hyp, j_hyp))
+        # Rows share one length and the alphabet, so tuple order is rir order.
+        if signature_syndrome(rows, p.n) != p.d:
+            continue
+        cand = Array2D(rows, p.q)
         if c1_check(cand, p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")

@@ -7,7 +7,6 @@ row integers resolve the exact positions.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,11 +22,13 @@ from .reprs import ccr, is_l_valid, rir, rows_are_distinct
 from .scan import (
     ScanContext,
     band_rows,
+    column_rank_screen,
     column_int,
     complete_array,
     disjoint_band,
     parity_bits,
     resolve_by_parity,
+    row_rank_screen,
     scan_verdict,
 )
 
@@ -219,16 +220,12 @@ def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
 
 def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
+    row_hits = row_rank_screen(y, p.a, p.full_b, p.c[1])
     survivors: dict[Array2D, list[tuple[int, int]]] = {}
-    for i_hyp, j_hyp in itertools.product(
-        range(1, p.rows + 1), range(1, p.cols + 1)
-    ):
-        new_row, new_col = ctx.forced_insertions(i_hyp, j_hyp)
-        if ctx.col_rank_syndrome(j_hyp, new_row, new_col) != p.c[0]:
+    for i_hyp, j_hyp, _ in column_rank_screen(ctx, p.c[0]):
+        if (i_hyp, j_hyp) not in row_hits:
             continue
-        if ctx.row_rank_syndrome(i_hyp, new_row, new_col) != p.c[1]:
-            continue
-        cand = ctx.assemble(i_hyp, j_hyp, new_row, new_col)
+        cand = ctx.assemble(i_hyp, j_hyp, *ctx.forced_insertions(i_hyp, j_hyp))
         if c2_check(cand, p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")

@@ -3,23 +3,33 @@
 Hypothesis scan: given a received minor Y and indexed column/row sum vectors,
 each deletion hypothesis (i, j) forces a unique candidate array: the missing
 symbols in every surviving column and row are pinned by their sum constraints
-and the corner by the deleted row's own sum. Decoders enumerate hypotheses,
-screen candidates cheaply, and keep those passing the full membership test.
+and the corner by the deleted row's own sum. The scan decoders try all
+rows x cols hypotheses through three filters, each a necessary condition of
+membership, so a hypothesis passes all three exactly when its candidate is a
+class member:
+
+1. column_rank_screen: the column-composition signature syndrome of every
+   candidate, O(1) each after O(n(n+q)) tables: O(n^2) in all for a fixed q.
+2. O(n) per survivor of filter 1, of which there are about n. c1 reads
+   adjacent-distinct columns off filter 1's ranks, then compares the
+   assembled row tuples for the row-integer syndrome. c2 keeps the survivors
+   that row_rank_screen, filter 1 run once on the transposed minor, passes.
+3. The full membership check, on the candidates that pass both.
 
 Fast paths: completion of a minor under uniform sums, and resolution of a
 two-candidate deletion position by band and row inversion parities.
 """
 from __future__ import annotations
 
-from .core_array import Array2D
+from .core_array import Array2D, transpose
 from .errors import AmbiguityError, CodePropertyError, InvalidParameterError, NotACodewordError
-from .onedim import comp_rank, composition, inversions, signature_syndrome
+from .onedim import comp_rank, composition, inversions
 from .outcome import DecodeOutcome
 from .reprs import cir, rir
 
 
 class ScanContext:
-    """Per-decode cache of column/row sums and compositions of the received minor."""
+    """Per-decode cache of the received minor's column and row sums."""
 
     def __init__(self, y: Array2D, a: tuple[int, ...], full_b: tuple[int, ...]):
         rows, cols = len(full_b), len(a)
@@ -34,8 +44,6 @@ class ScanContext:
         self.cells = y.cells
         self.y_col_sums = tuple(sum(col) for col in zip(*y.cells))
         self.y_row_sums = tuple(sum(row) for row in y.cells)
-        self.y_col_comps = tuple(composition(col, y.q) for col in zip(*y.cells))
-        self.y_row_comps = tuple(composition(row, y.q) for row in y.cells)
 
     def forced_insertions(self, i_hyp: int, j_hyp: int):
         """Row and column contents forced by the sums under hypothesis (i_hyp, j_hyp)."""
@@ -55,32 +63,8 @@ class ScanContext:
         new_col[i_hyp - 1] = corner
         return tuple(new_row), tuple(new_col)
 
-    def col_rank_syndrome(self, j_hyp: int, new_row, new_col) -> int:
-        """Signature syndrome of the candidate's column composition ranks."""
-        ranks = []
-        for k in range(1, self.cols + 1):
-            if k == j_hyp:
-                ranks.append(comp_rank(composition(new_col, self.q)))
-            else:
-                comp = self.y_col_comps[k - 1 if k < j_hyp else k - 2]
-                v = new_row[k - 1]
-                ranks.append(comp_rank(comp[:v] + (comp[v] + 1,) + comp[v + 1:]))
-        return signature_syndrome(tuple(ranks), self.cols)
-
-    def row_rank_syndrome(self, i_hyp: int, new_row, new_col) -> int:
-        """Signature syndrome of the candidate's row composition ranks."""
-        ranks = []
-        for k in range(1, self.rows + 1):
-            if k == i_hyp:
-                ranks.append(comp_rank(composition(new_row, self.q)))
-            else:
-                comp = self.y_row_comps[k - 1 if k < i_hyp else k - 2]
-                v = new_col[k - 1]
-                ranks.append(comp_rank(comp[:v] + (comp[v] + 1,) + comp[v + 1:]))
-        return signature_syndrome(tuple(ranks), self.rows)
-
-    def assemble(self, i_hyp: int, j_hyp: int, new_row, new_col) -> Array2D:
-        """Materialize the candidate array for hypothesis (i_hyp, j_hyp)."""
+    def candidate_rows(self, i_hyp: int, j_hyp: int, new_row, new_col):
+        """Row tuples of the candidate array for hypothesis (i_hyp, j_hyp)."""
         out = []
         yi = 0
         for r in range(1, self.rows + 1):
@@ -90,7 +74,91 @@ class ScanContext:
                 yrow = self.cells[yi]
                 yi += 1
                 out.append(yrow[: j_hyp - 1] + (new_col[r - 1],) + yrow[j_hyp - 1:])
-        return Array2D(tuple(out), self.q)
+        return tuple(out)
+
+    def assemble(self, i_hyp: int, j_hyp: int, new_row, new_col) -> Array2D:
+        """Materialize the candidate array for hypothesis (i_hyp, j_hyp)."""
+        return Array2D(self.candidate_rows(i_hyp, j_hyp, new_row, new_col), self.q)
+
+
+def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bool]]:
+    """Hypotheses (i, j), in row-major order, whose candidate has column-rank
+    signature syndrome target, each with whether the candidate's adjacent
+    columns have distinct compositions.
+
+    For k != j, candidate column k is minor column k (k < j) or k-1 (k > j),
+    1-based, plus a forced symbol that depends only on that side, so its rank
+    is L[k] for k < j and R[k] for k > j, whatever i is. The syndrome is then
+    the weighted ascents within L before j, those within R after j, and the
+    two terms beside j.
+    The inserted column j holds the same symbols for every j apart from its
+    corner (full_b[i] - S_j) mod q, where S_j is the new row's sum without the
+    corner; its counts are kept incrementally over i and each corner value is
+    ranked once per i.
+    """
+    q, rows, cols = ctx.q, ctx.rows, ctx.cols
+    a, fb, col_sums, row_sums = ctx.a, ctx.full_b, ctx.y_col_sums, ctx.y_row_sums
+    y_comps = [composition(col, q) for col in zip(*ctx.cells)]
+
+    def ranked(comp, v):
+        return comp_rank(comp[:v] + (comp[v] + 1,) + comp[v + 1:])
+
+    # Lists are indexed by 1-based candidate column k. Unused ends hold 0, or
+    # -1 for ranks: a rank is never equal to -1 nor below it.
+    left = [0] + [(a[k - 1] - col_sums[k - 1]) % q for k in range(1, cols)] + [0]
+    right = [0, 0] + [(a[k - 1] - col_sums[k - 2]) % q for k in range(2, cols + 1)]
+    L = [-1] + [ranked(y_comps[k - 1], left[k]) for k in range(1, cols)] + [-1, -1]
+    R = [-1, -1] + [ranked(y_comps[k - 2], right[k]) for k in range(2, cols + 1)] + [-1]
+    asc_l = [t * (L[t + 1] >= L[t]) for t in range(cols)]
+    asc_r = [t * (R[t + 1] >= R[t]) for t in range(cols + 1)]
+    differ_l = [L[t] != L[t + 1] for t in range(cols)]
+    differ_r = [R[t] != R[t + 1] for t in range(cols + 1)]
+    per_j = [
+        (
+            j,
+            sum(left[:j]) + sum(right[j + 1:]),
+            sum(asc_l[1:j - 1]) + sum(asc_r[j + 1:cols]),
+            all(differ_l[1:j - 1]) and all(differ_r[j + 1:cols]),
+            L[j - 1],
+            R[j + 1],
+        )
+        for j in range(1, cols + 1)
+    ]
+
+    # Symbols of the inserted column off the corner: row k takes up[k] above
+    # the deleted row and down[k] below it.
+    up = [0] + [(fb[k - 1] - row_sums[k - 1]) % q for k in range(1, rows)]
+    down = [0, 0] + [(fb[k - 1] - row_sums[k - 2]) % q for k in range(2, rows + 1)]
+    counts = [0] * q
+    for v in down[2:]:
+        counts[v] += 1
+    hits = []
+    for i in range(1, rows + 1):
+        if i > 1:
+            counts[up[i - 1]] += 1
+            counts[down[i]] -= 1
+        corner_ranks: dict[int, int] = {}
+        for j, row_sum, weight, distinct, before, after in per_j:
+            v = (fb[i - 1] - row_sum) % q
+            rank = corner_ranks.get(v)
+            if rank is None:
+                rank = corner_ranks[v] = ranked(tuple(counts), v)
+            if (weight + (j - 1) * (rank >= before) + j * (after >= rank)) % cols == target:
+                hits.append((i, j, distinct and before != rank != after))
+    return hits
+
+
+def row_rank_screen(
+    y: Array2D, a: tuple[int, ...], full_b: tuple[int, ...], target: int
+) -> set[tuple[int, int]]:
+    """Hypotheses (i, j) whose candidate has row-rank signature syndrome target.
+
+    This is the column-rank screen of the transposed minor, where (i, j)
+    reads (j, i). There the corner is forced by column j's sum rather than
+    row i's, which is the same value whenever sum(a) == sum(full_b) mod q.
+    """
+    ctx = ScanContext(transpose(y), full_b, a)
+    return {(i, j) for j, i, _ in column_rank_screen(ctx, target)}
 
 
 def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -218,12 +219,34 @@ def _subseed(master: int, index: int) -> int:
 
 
 def _sum_classes(rows: int, cols: int, q: int) -> list[tuple[int, int]]:
+    """Every sum class (r, c) of the shape, ordered by r then c: the pairs with
+    rows*r == cols*c (mod q). The samplers index it through _sum_class and
+    _sum_class_count without building it."""
     return [
         (r, c)
         for r in range(q)
         for c in range(q)
         if (rows * r - cols * c) % q == 0
     ]
+
+
+def _sum_class_count(rows: int, cols: int, q: int) -> int:
+    """len(_sum_classes(rows, cols, q)): with g = gcd(cols, q), q / (g / gcd(g, rows))
+    values of r each have g values of c."""
+    return q * math.gcd(rows, cols, q)
+
+
+def _sum_class(rows: int, cols: int, q: int, k: int) -> tuple[int, int]:
+    """_sum_classes(rows, cols, q)[k] in O(log q).
+
+    With g = gcd(cols, q), cols*c == rows*r (mod q) is solvable exactly when
+    g / gcd(g, rows) divides r, and then has g solutions c0 + t*(q/g).
+    """
+    g = math.gcd(cols, q)
+    step = q // g
+    r = (k // g) * (g // math.gcd(g, rows))
+    c0 = (rows * r // g) * pow(cols // g, -1, step) % step
+    return r, c0 + (k % g) * step
 
 
 def _sum_class_cells(rows: int, cols: int, q: int, r: int, c: int, v: int):
@@ -250,14 +273,14 @@ def _sum_class_cells(rows: int, cols: int, q: int, r: int, c: int, v: int):
     return tuple(body)
 
 
-def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int, classes=None):
+def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int):
     """An exactly uniform draw over the rows x cols arrays with constant row
-    sums and constant column sums (mod q): a uniform class from classes
-    (default _sum_classes), then a uniform member of it. All classes have
-    equal size, so the two steps compose to the uniform distribution."""
-    if classes is None:
-        classes = _sum_classes(rows, cols, q)
-    r, c = rng.choice(classes)
+    sums and constant column sums (mod q): a uniform sum class, then a
+    uniform member of it. All classes have equal size, so the two steps
+    compose to the uniform distribution."""
+    # randrange(n) and choice(seq) both consume one _randbelow(n), so seeded
+    # draws match picking from the _sum_classes list.
+    r, c = _sum_class(rows, cols, q, rng.randrange(_sum_class_count(rows, cols, q)))
     v = rng.randrange(q ** ((rows - 1) * (cols - 1)))
     return _sum_class_cells(rows, cols, q, r, c, v)
 
@@ -277,11 +300,10 @@ def _rejection_sample(
     the arrays that pass."""
     if uniform_sums and (rows < 2 or cols < 2):
         raise InvalidParameterError("uniform-sum sampling needs at least a 2x2 shape")
-    classes = _sum_classes(rows, cols, q) if uniform_sums else None
     rejections: Counter[str] = Counter()
     for _ in range(budget):
         if uniform_sums:
-            cells = _uniform_sum_cells(rng, rows, cols, q, classes)
+            cells = _uniform_sum_cells(rng, rows, cols, q)
         else:
             cells = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
         x = Array2D(cells, q)

@@ -1,0 +1,164 @@
+"""Hypothesis-scan screens: equivalence with per-hypothesis brute force, and
+scan decoders that agree with an unscreened scan over every hypothesis."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crisscross.code_c1 import c1_check, c1_decode, c1_syndromes
+from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
+from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols
+from crisscross.errors import CrissCrossError
+from crisscross.onedim import comp_rank, composition, signature_syndrome
+from crisscross.reprs import ccr
+from crisscross.scan import ScanContext, column_rank_screen, row_rank_screen, scan_verdict
+from crisscross.verify import sample_good, sample_valid
+
+
+def _plus_one(comp, v):
+    return comp[:v] + (comp[v] + 1,) + comp[v + 1:]
+
+
+def _reference_col_syndrome(ctx, j_hyp, new_row, new_col):
+    """Column-rank signature syndrome of one candidate, in O(n q)."""
+    q = ctx.q
+    comps = [composition(col, q) for col in zip(*ctx.cells)]
+    ranks = []
+    for k in range(1, ctx.cols + 1):
+        if k == j_hyp:
+            ranks.append(comp_rank(composition(new_col, q)))
+        else:
+            ranks.append(comp_rank(_plus_one(comps[k - 1 if k < j_hyp else k - 2], new_row[k - 1])))
+    return signature_syndrome(tuple(ranks), ctx.cols)
+
+
+def _reference_row_syndrome(ctx, i_hyp, new_row, new_col):
+    """Row-rank signature syndrome of one candidate, in O(n q)."""
+    q = ctx.q
+    comps = [composition(row, q) for row in ctx.cells]
+    ranks = []
+    for k in range(1, ctx.rows + 1):
+        if k == i_hyp:
+            ranks.append(comp_rank(composition(new_row, q)))
+        else:
+            ranks.append(comp_rank(_plus_one(comps[k - 1 if k < i_hyp else k - 2], new_col[k - 1])))
+    return signature_syndrome(tuple(ranks), ctx.rows)
+
+
+def _hypotheses(ctx):
+    for i, j in itertools.product(range(1, ctx.rows + 1), range(1, ctx.cols + 1)):
+        yield i, j, ctx.forced_insertions(i, j)
+
+
+@st.composite
+def _scan_cases(draw):
+    """A class from a random array, and a minor of it or an arbitrary one."""
+    family = draw(st.sampled_from(["c1", "c2"]))
+    q = draw(st.sampled_from([2, 3, 5]))
+    if family == "c1":
+        rows = cols = draw(st.integers(2, 7))
+    else:
+        l = draw(st.integers(1, 2))
+        rows = draw(st.integers(3 * l, 3 * l + 4))
+        cols = draw(st.integers(2, 9).filter(lambda c: c != rows))
+    symbols = st.integers(0, q - 1)
+    x = Array2D(draw(st.lists(st.lists(symbols, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows)), q)
+    if family == "c1":
+        p = c1_syndromes(x, relaxed=draw(st.booleans()))
+    else:
+        p = c2_syndromes(x, l)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+        y = delete_rows_cols(x, DeletionPattern((i,), (j,)))
+    else:
+        y = Array2D(draw(st.lists(st.lists(symbols, min_size=cols - 1, max_size=cols - 1),
+                                  min_size=rows - 1, max_size=rows - 1)), q)
+    return family, p, y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_scan_cases())
+def test_rank_screens_match_per_hypothesis_brute_force(case):
+    family, p, y = case
+    ctx = ScanContext(y, p.a, p.full_b)
+    col_target = p.c if family == "c1" else p.c[0]
+    want = []
+    for i, j, (new_row, new_col) in _hypotheses(ctx):
+        if _reference_col_syndrome(ctx, j, new_row, new_col) == col_target:
+            comps = ccr(ctx.assemble(i, j, new_row, new_col))
+            want.append((i, j, all(u != v for u, v in zip(comps, comps[1:]))))
+    assert column_rank_screen(ctx, col_target) == want
+    if family == "c2":
+        want_rows = {
+            (i, j)
+            for i, j, (new_row, new_col) in _hypotheses(ctx)
+            if _reference_row_syndrome(ctx, i, new_row, new_col) == p.c[1]
+        }
+        assert row_rank_screen(y, p.a, p.full_b, p.c[1]) == want_rows
+
+
+def _reference_scan(y, p, check):
+    """Every hypothesis through the full membership check, no screen."""
+    ctx = ScanContext(y, p.a, p.full_b)
+    survivors = {}
+    for i, j, (new_row, new_col) in _hypotheses(ctx):
+        cand = ctx.assemble(i, j, new_row, new_col)
+        if check(cand, p):
+            survivors.setdefault(cand, []).append((i, j))
+    return scan_verdict(survivors, "scan")
+
+
+def _outcome(decode, *args):
+    try:
+        out = decode(*args)
+    except CrissCrossError as exc:
+        return type(exc), str(exc)
+    return out.array, out.row_interval, out.col_interval, out.path
+
+
+def _minors(rng, x, count):
+    """True minors of x, then arbitrary ones and minors of a near twin of x."""
+    rows, cols, q = x.rows, x.cols, x.q
+    for _ in range(count):
+        i, j = rng.randint(1, rows), rng.randint(1, cols)
+        yield delete_rows_cols(x, DeletionPattern((i,), (j,)))
+    for _ in range(count // 2):
+        yield Array2D([[rng.randrange(q) for _ in range(cols - 1)] for _ in range(rows - 1)], q)
+    for _ in range(count // 2):
+        cells = [list(row) for row in x.cells]
+        cells[rng.randrange(rows)][rng.randrange(cols)] ^= 1
+        i, j = rng.randint(1, rows), rng.randint(1, cols)
+        yield delete_rows_cols(Array2D(cells, q), DeletionPattern((i,), (j,)))
+
+
+def _non_uniform(draw_codeword, syndromes, seed):
+    rng = random.Random(seed)
+    while True:
+        x = draw_codeword(rng)
+        p = syndromes(x)
+        if not p.uniform:
+            return rng, x, p
+
+
+_C1_CASES = [(n, 100 + n) for n in range(8, 13)]
+_C2_CASES = [(12, 12, 3, 212), (9, 12, 3, 912)]
+
+
+@pytest.mark.parametrize("n, seed", _C1_CASES)
+def test_c1_scan_matches_unscreened_scan(n, seed):
+    rng, x, p = _non_uniform(lambda r: sample_good(n, 2, r), c1_syndromes, seed)
+    for y in _minors(rng, x, 8):
+        assert _outcome(c1_decode, y, p, "scan") == _outcome(_reference_scan, y, p, c1_check)
+
+
+@pytest.mark.parametrize("rows, cols, l, seed", _C2_CASES)
+def test_c2_scan_matches_unscreened_scan(rows, cols, l, seed):
+    rng, x, p = _non_uniform(
+        lambda r: sample_valid(rows, cols, 2, l, r), lambda x: c2_syndromes(x, l), seed
+    )
+    for y in _minors(rng, x, 8):
+        assert _outcome(c2_decode, y, p, "scan") == _outcome(_reference_scan, y, p, c2_check)

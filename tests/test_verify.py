@@ -4,6 +4,7 @@ decoding, samplers, and the reproducible trial harness."""
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -30,7 +31,9 @@ from crisscross.verify import (
     TrialStats,
     VerificationReport,
     _subseed,
+    _sum_class,
     _sum_class_cells,
+    _sum_class_count,
     _sum_classes,
     _uniform_sum_cells,
     decode_by_codebook,
@@ -190,6 +193,33 @@ def test_uniform_sum_cells_have_constant_sums():
             row_sums = {sum(row) % q for row in cells}
             col_sums = {sum(col) % q for col in zip(*cells)}
             assert len(row_sums) == 1 and len(col_sums) == 1
+
+
+def test_sum_class_arithmetic_matches_the_list():
+    for q in range(2, 40):
+        for rows, cols in itertools.product(range(2, 13), repeat=2):
+            classes = _sum_classes(rows, cols, q)
+            assert _sum_class_count(rows, cols, q) == len(classes)
+            assert [_sum_class(rows, cols, q, k) for k in range(len(classes))] == classes
+
+
+def test_uniform_sum_draws_match_a_choice_from_the_class_list():
+    for rows, cols, q in [(3, 3, 2), (4, 6, 3), (6, 4, 6), (5, 2, 4)]:
+        rng, ref = random.Random(5), random.Random(5)
+        for _ in range(30):
+            r, c = ref.choice(_sum_classes(rows, cols, q))
+            v = ref.randrange(q ** ((rows - 1) * (cols - 1)))
+            want = _sum_class_cells(rows, cols, q, r, c, v)
+            assert _uniform_sum_cells(rng, rows, cols, q) == want
+
+
+def test_uniform_sum_draw_with_a_huge_alphabet_is_quick():
+    q = 10**6
+    start = time.perf_counter()
+    cells = _uniform_sum_cells(random.Random(4), 4, 4, q)
+    assert time.perf_counter() - start < 0.5
+    assert len({sum(row) % q for row in cells}) == 1
+    assert len({sum(col) % q for col in zip(*cells)}) == 1
 
 
 def _uniform_sum_members(rows, cols, q, r, c):
