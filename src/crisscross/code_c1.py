@@ -74,10 +74,9 @@ class C1Params:
         return len(set(self.a)) == 1 and len(set(self.full_b)) == 1
 
 
-def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
-    """Parameters of the class containing x."""
-    if x.rows != x.cols:
-        raise InvalidParameterError("this construction is defined on square arrays")
+def _class_of(x: Array2D, comps, relaxed: bool) -> C1Params:
+    """Parameters of the class of the square array x, whose column
+    composition sequence is comps."""
     n = x.rows
     b = x.row_sums()
     return C1Params(
@@ -85,28 +84,26 @@ def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
         q=x.q,
         a=x.col_sums(),
         b=b[: n - 1] if relaxed else b,
-        c=signature_syndrome(tuple(comp_rank(c) for c in ccr(x)), n),
+        c=signature_syndrome(tuple(map(comp_rank, comps)), n),
         d=signature_syndrome(rir(x), n),
         relaxed=relaxed,
     )
 
 
+def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
+    """Parameters of the class containing x."""
+    if x.rows != x.cols:
+        raise InvalidParameterError("this construction is defined on square arrays")
+    return _class_of(x, ccr(x), relaxed)
+
+
 def c1_check(x: Array2D, p: C1Params) -> bool:
-    """Membership test against every class constraint."""
+    """Membership test: x is good and its own class is p."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
-    if x.col_sums() != p.a:
-        return False
-    row_sums = x.row_sums()
-    if row_sums[: len(p.b)] != p.b:
-        return False
-    if not p.relaxed and row_sums != p.b:
-        return False
     comps = ccr(x)
     if any(u == v for u, v in zip(comps, comps[1:])):
         return False
-    if signature_syndrome(tuple(comp_rank(c) for c in comps), p.n) != p.c:
-        return False
-    return signature_syndrome(rir(x), p.n) == p.d
+    return _class_of(x, comps, p.relaxed) == p
 
 
 def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
@@ -132,7 +129,7 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
 def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     n = p.n
     x2 = complete_array(y, p.a[0], p.full_b[0])
-    ranks = tuple(comp_rank(c) for c in ccr(x2))
+    ranks = tuple(map(comp_rank, ccr(x2)))
     _, col_run = vt_decode_known_symbol(ranks[:-1], ranks[-1], p.c, n)
     if col_run[0] != col_run[1]:
         raise CodePropertyError(

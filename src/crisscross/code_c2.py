@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_array import Array2D, move_last_col_to, move_last_row_to, require_shape, transpose
+from .core_array import Array2D, move_last_col_to, move_last_row_to, require_shape
 from .errors import (
     CodePropertyError,
     InvalidParameterError,
@@ -18,7 +18,7 @@ from .errors import (
 )
 from .onedim import comp_rank, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import ccr, is_l_valid, rir, rows_are_distinct
+from .reprs import ccr, is_l_weakly_valid, no_triple_runs, rcr, rir, rows_are_distinct
 from .scan import (
     ScanContext,
     band_rows,
@@ -96,12 +96,9 @@ def default_band_height(n: int, q: int) -> int:
     return max(1, min(base, n // 3))
 
 
-def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
-    """Parameters of the class containing x (band height l)."""
-    if x.rows < 3 * l:
-        raise InvalidParameterError(f"rows {x.rows} cannot hold three bands of height {l}")
-    col_syn = signature_syndrome(tuple(comp_rank(c) for c in ccr(x)), x.cols)
-    row_syn = signature_syndrome(tuple(comp_rank(c) for c in ccr(transpose(x))), x.rows)
+def _class_of(x: Array2D, col_comps, row_comps, l: int, rows_distinct: bool) -> C2Params:
+    """Parameters of the class of x, whose column and row composition
+    sequences are col_comps and row_comps."""
     return C2Params(
         rows=x.rows,
         cols=x.cols,
@@ -109,28 +106,36 @@ def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
         l=l,
         a=x.col_sums(),
         b=x.row_sums()[: x.rows - 1],
-        c=(col_syn, row_syn),
+        c=(
+            signature_syndrome(tuple(map(comp_rank, col_comps)), x.cols),
+            signature_syndrome(tuple(map(comp_rank, row_comps)), x.rows),
+        ),
         d=parity_bits(x, l),
         rows_distinct=rows_distinct,
     )
 
 
+def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
+    """Parameters of the class containing x (band height l)."""
+    if x.rows < 3 * l:
+        raise InvalidParameterError(f"rows {x.rows} cannot hold three bands of height {l}")
+    return _class_of(x, ccr(x), rcr(x), l, rows_distinct)
+
+
 def c2_check(x: Array2D, p: C2Params) -> bool:
-    """Membership test against every class constraint."""
+    """Membership test: x is band-valid (with distinct consecutive rows if the
+    class asks for them) and its own class is p."""
     require_shape(x, p.rows, p.cols, p.q, "the class parameters")
-    if x.col_sums() != p.a:
-        return False
-    if x.row_sums()[: p.rows - 1] != p.b:
-        return False
     if p.rows_distinct and not rows_are_distinct(x):
         return False
-    if not is_l_valid(x, p.l):
+    col_comps, row_comps = ccr(x), rcr(x)
+    if not (
+        no_triple_runs(col_comps)
+        and no_triple_runs(row_comps)
+        and is_l_weakly_valid(x, p.l)
+    ):
         return False
-    if signature_syndrome(tuple(comp_rank(c) for c in ccr(x)), p.cols) != p.c[0]:
-        return False
-    if signature_syndrome(tuple(comp_rank(c) for c in ccr(transpose(x))), p.rows) != p.c[1]:
-        return False
-    return parity_bits(x, p.l) == p.d
+    return _class_of(x, col_comps, row_comps, p.l, p.rows_distinct) == p
 
 
 @dataclass(frozen=True)
@@ -153,9 +158,9 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
         raise InvalidParameterError("interval location requires uniform sums")
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
     x2 = complete_array(y, p.a[0], p.full_b[0])
-    col_obs = tuple(comp_rank(c) for c in ccr(x2))
+    col_obs = tuple(map(comp_rank, ccr(x2)))
     _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
-    row_obs = tuple(comp_rank(c) for c in ccr(transpose(x2)))
+    row_obs = tuple(map(comp_rank, rcr(x2)))
     _, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
     for run in (col_run, row_run):
         if run[1] - run[0] > 1:

@@ -132,6 +132,15 @@ def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[Array2D]]:
     ]
 
 
+def _grids(subs: list[list[Array2D]], l: int) -> tuple[SumGrid, SumGrid, BitGrid]:
+    """The (a, b, d) grids of the subarrays: column sums, all row sums but
+    the last, and parity bits."""
+    a = tuple(tuple(sub.col_sums() for sub in row) for row in subs)
+    b = tuple(tuple(sub.row_sums()[:-1] for sub in row) for row in subs)
+    d = tuple(tuple(parity_bits(sub, l) for sub in row) for row in subs)
+    return a, b, d
+
+
 def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     """Class parameters of x for the burst code with window t_r x t_c.
 
@@ -152,34 +161,22 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
             "anchor subarray is not band-valid with distinct consecutive rows"
         )
     anchor = c2_syndromes(head, l, rows_distinct=True)
-    a = tuple(tuple(sub.col_sums() for sub in row) for row in subs)
-    b = tuple(tuple(sub.row_sums()[:-1] for sub in row) for row in subs)
-    d = tuple(tuple(parity_bits(sub, l) for sub in row) for row in subs)
+    a, b, d = _grids(subs, l)
     return C3Params(
         n=x.rows, q=x.q, t_r=t_r, t_c=t_c, l=l, anchor=anchor, a=a, b=b, d=d
     )
 
 
 def c3_check(x: Array2D, p: C3Params) -> bool:
-    """Membership test: anchor passes its full class check, every other
-    subarray matches its sums and parities and is weakly band-valid."""
+    """Membership test: the anchor subarray is in the anchor class, every
+    subarray is weakly band-valid, and x's own grids are p's."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
     subs = _subarrays(x, p.t_r, p.t_c)
-    for s, u in itertools.product(range(1, p.t_r + 1), range(1, p.t_c + 1)):
-        sub = subs[s - 1][u - 1]
-        if (s, u) == (1, 1):
-            if not c2_check(sub, p.anchor):
-                return False
-            continue
-        if sub.col_sums() != p.a[s - 1][u - 1]:
-            return False
-        if sub.row_sums()[:-1] != p.b[s - 1][u - 1]:
-            return False
-        if not is_l_weakly_valid(sub, p.l):
-            return False
-        if parity_bits(sub, p.l) != p.d[s - 1][u - 1]:
-            return False
-    return True
+    if not c2_check(subs[0][0], p.anchor):
+        return False
+    if not all(is_l_weakly_valid(sub, p.l) for row in subs for sub in row):
+        return False
+    return _grids(subs, p.l) == (p.a, p.b, p.d)
 
 
 def _resolve_subarray(

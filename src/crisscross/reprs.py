@@ -1,6 +1,6 @@
 """Array representations used by the code constructions.
 
-Column composition sequences, base-q row/column integers, and the
+Column and row composition sequences, base-q row/column integers, and the
 "good" / band-validity structural predicates.
 """
 from __future__ import annotations
@@ -16,6 +16,12 @@ def ccr(x: Array2D) -> tuple[Composition, ...]:
     """Column composition sequence: frequency vector of each column, left to right."""
     q = x.q
     return tuple(composition(col, q) for col in zip(*x.cells))
+
+
+def rcr(x: Array2D) -> tuple[Composition, ...]:
+    """Row composition sequence: frequency vector of each row, top to bottom."""
+    q = x.q
+    return tuple(composition(row, q) for row in x.cells)
 
 
 def rir(x: Array2D) -> tuple[int, ...]:
@@ -39,6 +45,12 @@ def is_good(x: Array2D) -> bool:
     """True iff adjacent columns always have distinct compositions."""
     comps = ccr(x)
     return all(a != b for a, b in zip(comps, comps[1:]))
+
+
+def no_triple_runs(seq) -> bool:
+    """True iff no three consecutive entries are equal (equal entries further
+    apart are allowed)."""
+    return all(a != b or b != c for a, b, c in zip(seq, seq[1:], seq[2:]))
 
 
 def _check_band_height(x: Array2D, l: int) -> None:
@@ -70,15 +82,7 @@ def is_l_valid(x: Array2D, l: int) -> bool:
     of the first three height-l bands.
     """
     _check_band_height(x, l)
-    col_comps = ccr(x)
-    for a, b, c in zip(col_comps, col_comps[1:], col_comps[2:]):
-        if a == b == c:
-            return False
-    row_comps = ccr(transpose(x))
-    for a, b, c in zip(row_comps, row_comps[1:], row_comps[2:]):
-        if a == b == c:
-            return False
-    return is_l_weakly_valid(x, l)
+    return no_triple_runs(ccr(x)) and no_triple_runs(rcr(x)) and is_l_weakly_valid(x, l)
 
 
 def rows_are_distinct(x: Array2D) -> bool:

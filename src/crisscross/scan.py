@@ -25,7 +25,7 @@ from .core_array import Array2D, transpose
 from .errors import AmbiguityError, CodePropertyError, InvalidParameterError, NotACodewordError
 from .onedim import comp_rank, composition, inversions
 from .outcome import DecodeOutcome
-from .reprs import cir, rir
+from .reprs import rir
 
 
 class ScanContext:
@@ -196,10 +196,11 @@ def complete_array(y: Array2D, a_val: int, b_val: int) -> Array2D:
 def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
     """Inversion parities of the three height-l bands' column integers, then of
     the row integers."""
+    q, cells = x.q, x.cells
     out = []
     for k in range(3):
-        band = Array2D(x.cells[k * l:(k + 1) * l], x.q)
-        out.append(inversions(cir(band)) % 2)
+        band = cells[k * l:(k + 1) * l]
+        out.append(inversions(tuple(column_int(band, j, q) for j in range(x.cols))) % 2)
     return tuple(out) + (inversions(rir(x)) % 2,)
 
 

@@ -30,7 +30,6 @@ from .core_array import (
     insertion_ball_raw,
     interleave_residue_subarrays,
     require_shape,
-    transpose,
 )
 from .errors import (
     AmbiguityError,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .outcome import DecodeOutcome
 from .params_io import CONSTRUCTIONS
-from .reprs import ccr, is_good, is_l_weakly_valid, rows_are_distinct
+from .reprs import ccr, is_good, is_l_weakly_valid, no_triple_runs, rcr, rows_are_distinct
 
 DEFAULT_TRIAL_BUDGET = 10**6
 PAIR_CAP = 1 << 26
@@ -218,26 +217,15 @@ def _subseed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sum_classes(rows: int, cols: int, q: int) -> list[tuple[int, int]]:
-    """Every sum class (r, c) of the shape, ordered by r then c: the pairs with
-    rows*r == cols*c (mod q). The samplers index it through _sum_class and
-    _sum_class_count without building it."""
-    return [
-        (r, c)
-        for r in range(q)
-        for c in range(q)
-        if (rows * r - cols * c) % q == 0
-    ]
-
-
 def _sum_class_count(rows: int, cols: int, q: int) -> int:
-    """len(_sum_classes(rows, cols, q)): with g = gcd(cols, q), q / (g / gcd(g, rows))
+    """Number of sum classes of the shape, the pairs (r, c) with
+    rows*r == cols*c (mod q). With g = gcd(cols, q), q / (g / gcd(g, rows))
     values of r each have g values of c."""
     return q * math.gcd(rows, cols, q)
 
 
 def _sum_class(rows: int, cols: int, q: int, k: int) -> tuple[int, int]:
-    """_sum_classes(rows, cols, q)[k] in O(log q).
+    """The k-th sum class of the shape, in the order of r, then c, in O(log q).
 
     With g = gcd(cols, q), cols*c == rows*r (mod q) is solvable exactly when
     g / gcd(g, rows) divides r, and then has g solutions c0 + t*(q/g).
@@ -255,7 +243,7 @@ def _sum_class_cells(rows: int, cols: int, q: int, r: int, c: int, v: int):
 
     Digits fill the block row-major, least significant first. The last column
     is forced by the row sums, then the last row and the corner by the column
-    sums; (r, c) must come from _sum_classes, so the last row also sums to r.
+    sums; (r, c) must be a sum class of the shape, so the last row also sums to r.
     Every class therefore has exactly q**((rows-1)*(cols-1)) members, one per v.
     """
     width = cols - 1
@@ -279,7 +267,7 @@ def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int):
     uniform member of it. All classes have equal size, so the two steps
     compose to the uniform distribution."""
     # randrange(n) and choice(seq) both consume one _randbelow(n), so seeded
-    # draws match picking from the _sum_classes list.
+    # draws match a choice from the list of all sum classes.
     r, c = _sum_class(rows, cols, q, rng.randrange(_sum_class_count(rows, cols, q)))
     v = rng.randrange(q ** ((rows - 1) * (cols - 1)))
     return _sum_class_cells(rows, cols, q, r, c, v)
@@ -318,11 +306,6 @@ def _rejection_sample(
         f"budget {budget} exhausted sampling {what} ({rows}x{cols}, q={q}); "
         f"rejections by first failing predicate: {detail or 'none recorded'}"
     )
-
-
-def _no_triple(comps) -> bool:
-    # Validity forbids runs of three, not three occurrences anywhere.
-    return all(a != b or b != c for a, b, c in zip(comps, comps[1:], comps[2:]))
 
 
 def sample_good(
@@ -384,8 +367,8 @@ def sample_valid(
     """
     checks = [
         ("band adjacency", lambda x: is_l_weakly_valid(x, l)),
-        ("column composition run of three", lambda x: _no_triple(ccr(x))),
-        ("row composition run of three", lambda x: _no_triple(ccr(transpose(x)))),
+        ("column composition run of three", lambda x: no_triple_runs(ccr(x))),
+        ("row composition run of three", lambda x: no_triple_runs(rcr(x))),
     ]
     if rows_distinct:
         checks.append(("equal consecutive rows", rows_are_distinct))

@@ -12,6 +12,8 @@ from crisscross.reprs import (
     is_good,
     is_l_valid,
     is_l_weakly_valid,
+    no_triple_runs,
+    rcr,
     rir,
     rows_are_distinct,
 )
@@ -65,6 +67,23 @@ def test_validity_forbids_composition_runs_of_three():
     assert is_l_weakly_valid(x, 1)
     assert ccr(x) == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
     assert not is_l_valid(x, 1)
+
+
+def test_validity_checks_the_band_height_before_any_composition():
+    # every column is all zeros, a composition run of three that would
+    # settle the answer before the band test is reached
+    x = Array2D([[0] * 3] * 3, 2)
+    assert not no_triple_runs(ccr(x))
+    for l in (0, 2):
+        with pytest.raises(InvalidParameterError):
+            is_l_valid(x, l)
+
+
+def test_row_compositions_and_runs_of_three():
+    assert rcr(X) == ccr(transpose(X)) == ((1, 1, 1), (1, 1, 1), (1, 2, 0))
+    assert no_triple_runs((1, 1, 2, 2, 1, 1))
+    assert not no_triple_runs((2, 1, 1, 1))
+    assert no_triple_runs(()) and no_triple_runs((5, 5))
 
 
 def test_valid_count_3x3_binary():

@@ -1,8 +1,9 @@
 """Source-structure rules for the package, checked on the syntax tree.
 
-Modules share helpers only through public names, import only at module level,
-and choose a construction through the table in params_io rather than by
-testing parameter types.
+Modules share helpers only through public names, import only at module level
+and only what they use, call every private function they define, and choose a
+construction through the table in params_io rather than by testing parameter
+types.
 """
 import ast
 from pathlib import Path
@@ -58,4 +59,46 @@ def test_no_isinstance_on_params_types_outside_the_table():
         and len(node.args) == 2
         and PARAMS_TYPES & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
     ]
+    assert not bad
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_imports_outside_the_package_root():
+    bad = []
+    for name, tree in _trees():
+        if name == "__init__.py":
+            continue
+        used = _loaded_names(tree)
+        bad += [
+            f"{name}:{lineno} {imported}"
+            for lineno, imported in _imported_names(tree)
+            if imported not in used
+        ]
+    assert not bad
+
+
+def test_every_private_function_is_used_in_its_own_module():
+    bad = []
+    for name, tree in _trees():
+        used = _loaded_names(tree)
+        bad += [
+            f"{name}:{node.lineno} {node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and node.name not in used
+        ]
     assert not bad

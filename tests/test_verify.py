@@ -34,7 +34,6 @@ from crisscross.verify import (
     _sum_class,
     _sum_class_cells,
     _sum_class_count,
-    _sum_classes,
     _uniform_sum_cells,
     decode_by_codebook,
     duality_check,
@@ -193,6 +192,17 @@ def test_uniform_sum_cells_have_constant_sums():
             row_sums = {sum(row) % q for row in cells}
             col_sums = {sum(col) % q for col in zip(*cells)}
             assert len(row_sums) == 1 and len(col_sums) == 1
+
+
+def _sum_classes(rows, cols, q):
+    """Every sum class (r, c) of the shape, ordered by r then c: the pairs with
+    rows*r == cols*c (mod q). The reference list for the samplers' arithmetic."""
+    return [
+        (r, c)
+        for r in range(q)
+        for c in range(q)
+        if (rows * r - cols * c) % q == 0
+    ]
 
 
 def test_sum_class_arithmetic_matches_the_list():
