@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -145,9 +146,9 @@ def delete_rows_cols(x: Array2D, pattern: DeletionPattern | BurstPattern) -> Arr
         raise InvalidParameterError(f"column index {cols[-1]} exceeds {x.cols}")
     if len(rows) >= x.rows or len(cols) >= x.cols:
         raise InvalidParameterError("deleting every row or column leaves an empty array")
-    drop_r = frozenset(i - 1 for i in rows)
-    drop_c = frozenset(j - 1 for j in cols)
-    return Array2D(_minor_cells(x.cells, drop_r, drop_c), x.q)
+    drop_r = tuple(i - 1 for i in rows)
+    drop_c = tuple(j - 1 for j in cols)
+    return Array2D(next(_minors(x.cells, [drop_r], [drop_c])), x.q)
 
 
 def transpose(x: Array2D) -> Array2D:
@@ -180,41 +181,118 @@ def move_last_col_to(x: Array2D, j: int) -> Array2D:
     return Array2D(moved, x.q)
 
 
-def _minor_cells(cells, drop_r: frozenset, drop_c: frozenset):
-    return tuple(
-        tuple(v for j, v in enumerate(row) if j not in drop_c)
-        for i, row in enumerate(cells)
-        if i not in drop_r
+def _picker(size: int, drop):
+    """Callable giving, as a tuple, the entries of a length-size sequence at
+    the 0-based indices outside drop (at least one must remain)."""
+    keep = [i for i in range(size) if i not in drop]
+    if len(keep) == 1:
+        (i,) = keep
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*keep)
+
+
+def _minors(cells, row_drops, col_drops):
+    """Cells of the minor for every pair of 0-based row and column drop sets,
+    column set outermost: each row is narrowed once per column set, then the
+    kept rows are picked from the narrowed table."""
+    row_picks = [_picker(len(cells), drop) for drop in row_drops]
+    for drop in col_drops:
+        narrowed = tuple(map(_picker(len(cells[0]), drop), cells))
+        for pick in row_picks:
+            yield pick(narrowed)
+
+
+def _drops(size: int, t: int, burst: bool) -> list[tuple[int, ...]]:
+    """0-based index sets of every deletion of t of size positions (burst: the
+    windows), in increasing order of first index."""
+    if burst:
+        return [tuple(range(s, s + t)) for s in range(size - t + 1)]
+    return list(itertools.combinations(range(size), t))
+
+
+def _ball(x: Array2D, t_r: int, t_c: int, burst: bool) -> frozenset:
+    _check_ball_widths(x, t_r, t_c, burst)
+    return frozenset(
+        _minors(x.cells, _drops(x.rows, t_r, burst), _drops(x.cols, t_c, burst))
     )
 
 
 def deletion_ball_raw(x: Array2D, t_r: int, t_c: int) -> frozenset:
     """Cell tuples of every (t_r, t_c) criss-cross deletion minor of x."""
-    _check_ball_widths(x, t_r, t_c)
-    row_sets = [frozenset(c) for c in itertools.combinations(range(x.rows), t_r)]
-    col_sets = [frozenset(c) for c in itertools.combinations(range(x.cols), t_c)]
-    if len(row_sets) * len(col_sets) > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError("deletion pattern count exceeds the enumeration cap")
-    return frozenset(
-        _minor_cells(x.cells, dr, dc) for dr in row_sets for dc in col_sets
-    )
+    return _ball(x, t_r, t_c, burst=False)
 
 
 def burst_deletion_ball_raw(x: Array2D, t_r: int, t_c: int) -> frozenset:
     """Cell tuples of every burst (consecutive-window) deletion minor of x."""
-    _check_ball_widths(x, t_r, t_c)
-    row_sets = [
-        frozenset(range(s, s + t_r)) for s in range(x.rows - t_r + 1)
-    ]
-    col_sets = [
-        frozenset(range(s, s + t_c)) for s in range(x.cols - t_c + 1)
-    ]
-    return frozenset(
-        _minor_cells(x.cells, dr, dc) for dr in row_sets for dc in col_sets
-    )
+    return _ball(x, t_r, t_c, burst=True)
 
 
-def _check_ball_widths(x: Array2D, t_r: int, t_c: int) -> None:
+def deletion_brackets(x: Array2D, y: Array2D, t_r: int, t_c: int, burst: bool = False):
+    """Membership of y in x's (t_r, t_c) deletion ball (burst: burst deletion
+    ball), decided without building the ball.
+
+    Returns None if y is not in the ball, else ((row_lo, row_hi), (col_lo,
+    col_hi)): the least and greatest first deleted row and column, 1-based,
+    over every deletion pattern that takes x to y (burst: window starts). For
+    each deleted row set, y must come from the columns of x that the set
+    leaves by deleting t_c of them: y's columns are a subsequence of those
+    (burst: y's common prefix and suffix with them cover y). Both widths must
+    be positive, since a zero width deletes nothing whose place could be
+    bracketed.
+    """
+    _check_ball_widths(x, t_r, t_c, burst)
+    if t_r == 0 or t_c == 0:
+        raise InvalidParameterError("bracketing deletions needs positive widths")
+    require_shape(y, x.rows - t_r, x.cols - t_c, x.q, f"({t_r}, {t_c}) deletions from x")
+    x_cols = tuple(zip(*x.cells))
+    y_cols = tuple(zip(*y.cells))
+    span_of = _window_span if burst else _subsequence_span
+    row_firsts = []
+    col_firsts = []
+    for drop in _drops(x.rows, t_r, burst):
+        span = span_of(tuple(map(_picker(x.rows, drop), x_cols)), y_cols)
+        if span:
+            row_firsts.append(drop[0] + 1)
+            col_firsts += (span[0] + 1, span[1] + 1)
+    if not row_firsts:
+        return None
+    return (row_firsts[0], row_firsts[-1]), (min(col_firsts), max(col_firsts))
+
+
+def _prefix_length(xs, ys) -> int:
+    """Length of the longest common prefix of xs and the shorter ys."""
+    return next((k for k, (a, b) in enumerate(zip(xs, ys)) if a != b), len(ys))
+
+
+def _subsequence_span(xs, ys):
+    """Least and greatest first deleted index over the ways of deleting
+    len(xs) - len(ys) >= 1 entries of xs to leave ys, or None if ys is not a
+    subsequence of xs."""
+    # starts[k]: the greatest index from which ys[k:] still embeds in xs
+    starts = [len(xs)] * (len(ys) + 1)
+    j = len(xs)
+    for k in range(len(ys) - 1, -1, -1):
+        j -= 1
+        while j >= 0 and xs[j] != ys[k]:
+            j -= 1
+        if j < 0:
+            return None
+        starts[k] = j
+    prefix = _prefix_length(xs, ys)
+    # xs[c] can be the first deletion iff xs[:c] == ys[:c] and ys[c:] embeds in xs[c + 1:]
+    return next(c for c in range(prefix + 1) if starts[c] > c), prefix
+
+
+def _window_span(xs, ys):
+    """Least and greatest start of a window of len(xs) - len(ys) >= 1
+    consecutive entries whose deletion turns xs into ys, or None."""
+    prefix = _prefix_length(xs, ys)
+    lo = len(ys) - _prefix_length(xs[::-1], ys[::-1])
+    return (lo, prefix) if lo <= prefix else None
+
+
+def _check_ball_widths(x: Array2D, t_r: int, t_c: int, burst: bool) -> None:
+    """Widths must leave a row and a column; plain patterns must fit the cap."""
     if t_r < 0 or t_c < 0:
         raise InvalidParameterError("deletion widths must be nonnegative")
     if t_r >= x.rows or t_c >= x.cols:
@@ -222,6 +300,8 @@ def _check_ball_widths(x: Array2D, t_r: int, t_c: int) -> None:
             f"widths ({t_r}, {t_c}) must leave at least one row and column of "
             f"{x.rows}x{x.cols}"
         )
+    if not burst and math.comb(x.rows, t_r) * math.comb(x.cols, t_c) > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError("deletion pattern count exceeds the enumeration cap")
 
 
 def _canonical(ball: frozenset, q: int) -> tuple[Array2D, ...]:

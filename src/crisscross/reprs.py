@@ -53,18 +53,19 @@ def no_triple_runs(seq) -> bool:
     return all(a != b or b != c for a, b, c in zip(seq, seq[1:], seq[2:]))
 
 
-def _check_band_height(x: Array2D, l: int) -> None:
+def check_band_height(rows: int, l: int) -> None:
+    """Raise InvalidParameterError unless rows holds three bands of height l >= 1."""
     if l < 1:
         raise InvalidParameterError("band height must be positive")
-    if x.rows < 3 * l:
+    if rows < 3 * l:
         raise InvalidParameterError(
-            f"validity needs at least 3 bands: rows {x.rows} < {3 * l}"
+            f"validity needs at least 3 bands: rows {rows} < {3 * l}"
         )
 
 
 def is_l_weakly_valid(x: Array2D, l: int) -> bool:
     """True iff in each of the first three height-l row bands, adjacent columns differ."""
-    _check_band_height(x, l)
+    check_band_height(x.rows, l)
     cells = x.cells
     for k in range(3):
         band = cells[k * l:(k + 1) * l]
@@ -81,7 +82,7 @@ def is_l_valid(x: Array2D, l: int) -> bool:
     (ii) no three consecutive rows share one composition, (iii) weak validity
     of the first three height-l bands.
     """
-    _check_band_height(x, l)
+    check_band_height(x.rows, l)
     return no_triple_runs(ccr(x)) and no_triple_runs(rcr(x)) and is_l_weakly_valid(x, l)
 
 

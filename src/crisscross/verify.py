@@ -27,6 +27,7 @@ from .core_array import (
     burst_deletion_ball_raw,
     delete_rows_cols,
     deletion_ball_raw,
+    deletion_brackets,
     insertion_ball_raw,
     interleave_residue_subarrays,
     require_shape,
@@ -41,7 +42,15 @@ from .errors import (
 )
 from .outcome import DecodeOutcome
 from .params_io import CONSTRUCTIONS
-from .reprs import ccr, is_good, is_l_weakly_valid, no_triple_runs, rcr, rows_are_distinct
+from .reprs import (
+    ccr,
+    check_band_height,
+    is_good,
+    is_l_weakly_valid,
+    no_triple_runs,
+    rcr,
+    rows_are_distinct,
+)
 
 DEFAULT_TRIAL_BUDGET = 10**6
 PAIR_CAP = 1 << 26
@@ -110,12 +119,10 @@ def _require_uniform_book(arrays) -> tuple[int, int, int]:
     return first.rows, first.cols, first.q
 
 
-def _ball_fn(mode: str):
-    if mode == "plain":
-        return deletion_ball_raw
-    if mode == "burst":
-        return burst_deletion_ball_raw
-    raise InvalidParameterError(f"unknown mode {mode!r}, expected plain or burst")
+def _is_burst(mode: str) -> bool:
+    if mode not in ("plain", "burst"):
+        raise InvalidParameterError(f"unknown mode {mode!r}, expected plain or burst")
+    return mode == "burst"
 
 
 def verify_codebook(arrays, t_r: int, t_c: int, mode: str = "plain") -> VerificationReport:
@@ -124,22 +131,28 @@ def verify_codebook(arrays, t_r: int, t_c: int, mode: str = "plain") -> Verifica
     Reports every violating pair together with one shared minor as a witness.
     The verdict is symmetric in the input order; only violation indices move.
     """
-    ball = _ball_fn(mode)
+    ball = burst_deletion_ball_raw if _is_burst(mode) else deletion_ball_raw
     arrays = list(arrays)
     if len(arrays) ** 2 > PAIR_CAP:
         raise CapacityError(f"{len(arrays)} codewords make too many pairs to check")
     if arrays:
         _require_uniform_book(arrays)
     balls = [ball(x, t_r, t_c) for x in arrays]
+    # A pair shares only minors lying in two or more balls, so the pairs are
+    # intersected on those alone, and only for balls that hold any.
+    seen: set = set()
+    common: set = set()
+    for b in balls:
+        common |= seen & b
+        seen |= b
+    owners = [(i, b & common) for i, b in enumerate(balls) if not common.isdisjoint(b)]
     violations = []
-    checked = 0
-    for i, j in itertools.combinations(range(len(arrays)), 2):
-        checked += 1
-        shared = balls[i] & balls[j]
+    for (i, mine), (j, theirs) in itertools.combinations(owners, 2):
+        shared = mine & theirs
         if shared:
             violations.append(((i, j), Array2D(min(shared), arrays[i].q)))
     return VerificationReport(
-        checked_pairs=checked,
+        checked_pairs=len(arrays) * (len(arrays) - 1) // 2,
         violations=tuple(violations),
         verdict=not violations,
     )
@@ -168,47 +181,28 @@ def decode_by_codebook(
 ) -> DecodeOutcome:
     """Oracle decoder: the unique codeword whose ball contains y.
 
-    Intervals bracket the first deleted row/column index over all patterns
-    mapping the codeword to y (burst mode: over all window starts), matching
-    the construction decoders' convention.
+    Membership is tested without building any ball (see
+    core_array.deletion_brackets). Intervals bracket the first deleted
+    row/column index over all patterns mapping the codeword to y (burst mode:
+    over all window starts), matching the construction decoders' convention.
     """
-    ball = _ball_fn(mode)
+    burst = _is_burst(mode)
     arrays = list(arrays)
     rows, cols, q = _require_uniform_book(arrays)
     require_shape(y, rows - t_r, cols - t_c, q, f"({t_r}, {t_c}) deletions from the codebook")
-    hits: list[Array2D] = []
+    brackets = {}
     for x in arrays:
-        if y.cells in ball(x, t_r, t_c) and all(x != seen for seen in hits):
-            hits.append(x)
+        if x not in brackets:
+            brackets[x] = deletion_brackets(x, y, t_r, t_c, burst)
+    hits = [x for x, found in brackets.items() if found]
     if not hits:
         raise NotACodewordError("no codeword's ball contains the input")
     if len(hits) > 1:
         raise AmbiguityError(f"{len(hits)} codewords explain the input")
     x = hits[0]
-
-    row_firsts = []
-    col_firsts = []
-    if mode == "burst":
-        patterns = (
-            BurstPattern(r0, c0, t_r, t_c)
-            for r0 in range(1, rows - t_r + 2)
-            for c0 in range(1, cols - t_c + 2)
-        )
-    else:
-        patterns = (
-            DeletionPattern(rr, cc)
-            for rr in itertools.combinations(range(1, rows + 1), t_r)
-            for cc in itertools.combinations(range(1, cols + 1), t_c)
-        )
-    for pattern in patterns:
-        if delete_rows_cols(x, pattern) == y:
-            row_firsts.append(pattern.rows()[0] if mode == "burst" else pattern.rows[0])
-            col_firsts.append(pattern.cols()[0] if mode == "burst" else pattern.cols[0])
+    row_interval, col_interval = brackets[x]
     return DecodeOutcome(
-        array=x,
-        row_interval=(min(row_firsts), max(row_firsts)),
-        col_interval=(min(col_firsts), max(col_firsts)),
-        path="codebook",
+        array=x, row_interval=row_interval, col_interval=col_interval, path="codebook"
     )
 
 
@@ -273,6 +267,27 @@ def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int):
     return _sum_class_cells(rows, cols, q, r, c, v)
 
 
+def _band_cells(rng: random.Random, rows: int, cols: int, q: int, l: int):
+    """An exactly uniform draw over the rows x cols arrays whose first three
+    height-l bands have distinct adjacent columns.
+
+    Each band is drawn column by column, a column being a base-q number of l
+    digits (top row most significant): the first uniform over the q**l
+    values, each later one uniform over the q**l - 1 values that differ from
+    its left neighbour. The rows below the bands are uniform.
+    """
+    span = q**l
+    cells = []
+    for _ in range(3):
+        band = [rng.randrange(span)]
+        for _ in range(cols - 1):
+            v = rng.randrange(span - 1)
+            band.append(v + (v >= band[-1]))
+        cells += ([v // q ** (l - 1 - i) % q for v in band] for i in range(l))
+    cells += ([rng.randrange(q) for _ in range(cols)] for _ in range(rows - 3 * l))
+    return cells
+
+
 def _rejection_sample(
     rng: random.Random,
     rows: int,
@@ -282,16 +297,28 @@ def _rejection_sample(
     budget: int,
     uniform_sums: bool,
     what: str,
+    band: int | None = None,
 ) -> Array2D:
     """Draw uniform arrays (all arrays of the shape, or with uniform_sums the
     constant-sum ones) until every check passes, so the result is uniform over
-    the arrays that pass."""
+    the arrays that pass.
+
+    With a band height, the arrays must also pass band adjacency: plain draws
+    come from _band_cells, which only draws such arrays, and uniform-sum draws
+    are checked for it first.
+    """
     if uniform_sums and (rows < 2 or cols < 2):
         raise InvalidParameterError("uniform-sum sampling needs at least a 2x2 shape")
+    if band is not None:
+        check_band_height(rows, band)
+        if uniform_sums:
+            checks = [("band adjacency", lambda x: is_l_weakly_valid(x, band)), *checks]
     rejections: Counter[str] = Counter()
     for _ in range(budget):
         if uniform_sums:
             cells = _uniform_sum_cells(rng, rows, cols, q)
+        elif band is not None:
+            cells = _band_cells(rng, rows, cols, q, band)
         else:
             cells = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
         x = Array2D(cells, q)
@@ -342,9 +369,7 @@ def sample_weakly_valid(
     constant row sums and constant column sums).
     """
     return _rejection_sample(
-        rng, rows, cols, q,
-        [("band adjacency", lambda x: is_l_weakly_valid(x, l))],
-        budget, uniform_sums, "a weakly band-valid array",
+        rng, rows, cols, q, [], budget, uniform_sums, "a weakly band-valid array", band=l
     )
 
 
@@ -362,18 +387,18 @@ def sample_valid(
 
     Uniform over the arrays of the shape that pass every predicate (with
     uniform_sums: over those among the constant-row-sum, constant-column-sum
-    arrays). The predicates are checked in order so the sampling diagnostics
-    name the dominant rejection cause.
+    arrays). Plain draws pass band adjacency by construction; the other
+    predicates are checked in order so the sampling diagnostics name the
+    dominant rejection cause.
     """
     checks = [
-        ("band adjacency", lambda x: is_l_weakly_valid(x, l)),
         ("column composition run of three", lambda x: no_triple_runs(ccr(x))),
         ("row composition run of three", lambda x: no_triple_runs(rcr(x))),
     ]
     if rows_distinct:
         checks.append(("equal consecutive rows", rows_are_distinct))
     return _rejection_sample(
-        rng, rows, cols, q, checks, budget, uniform_sums, "a band-valid array"
+        rng, rows, cols, q, checks, budget, uniform_sums, "a band-valid array", band=l
     )
 
 

@@ -3,6 +3,7 @@ decoding, samplers, and the reproducible trial harness."""
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crisscross.core_array import (
+    DEFAULT_ENUMERATION_CAP,
     Array2D,
     BurstPattern,
     DeletionPattern,
@@ -21,11 +23,12 @@ from crisscross.core_array import (
 )
 from crisscross.errors import (
     AmbiguityError,
+    CapacityError,
     InvalidParameterError,
     NotACodewordError,
     SamplingError,
 )
-from crisscross.reprs import is_good, is_l_valid, rows_are_distinct
+from crisscross.reprs import is_good, is_l_valid, is_l_weakly_valid, rows_are_distinct
 from crisscross.verify import (
     TrialConfig,
     TrialStats,
@@ -39,6 +42,7 @@ from crisscross.verify import (
     duality_check,
     sample_good,
     sample_valid,
+    sample_weakly_valid,
     simulate_trials,
     verify_codebook,
 )
@@ -176,6 +180,36 @@ def test_decode_by_codebook_failure_modes():
         decode_by_codebook(_arr([[0]]), [], 1, 1)
 
 
+def test_burst_oracle_refuses_a_minor_reachable_only_by_plain_deletion():
+    # Row 2 of x is all zeros, and only a plain (2, 1) deletion keeps it alone:
+    # the burst windows keep row 1 or row 3. So [[0, 0]] is in x's plain ball
+    # and in no burst ball of x (ZEROS3's burst ball holds it, so the book is
+    # x alone); a plain subsequence test on every row set would accept it.
+    x = BURST_ONLY_PAIR[1]
+    y = _arr([[0, 0]])
+    assert decode_by_codebook(y, [x], 2, 1).array == x
+    with pytest.raises(NotACodewordError):
+        decode_by_codebook(y, [x], 2, 1, mode="burst")
+
+
+def test_oracle_size_guards_answer_before_any_work():
+    x = _arr([[0] * 40] * 40)
+    y = _arr([[0] * 20] * 20)
+    assert math.comb(40, 20) ** 2 > DEFAULT_ENUMERATION_CAP
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError):  # no row left: y would need zero rows
+        decode_by_codebook(_arr([[0]]), [x], 40, 39)
+    with pytest.raises(InvalidParameterError):  # a negative width passes the shape test
+        decode_by_codebook(_arr([[0] * 39] * 41), [x], -1, 1)
+    with pytest.raises(InvalidParameterError):  # a zero width leaves nothing to bracket
+        decode_by_codebook(_arr([[0, 0, 0]] * 2), [ZEROS3], 1, 0, mode="burst")
+    with pytest.raises(CapacityError):
+        decode_by_codebook(y, [x], 20, 20)
+    with pytest.raises(CapacityError):
+        deletion_ball_raw(x, 20, 20)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_subseed_derivation_is_frozen():
     # sha256("master:index"), first eight bytes, big endian
     assert _subseed(0, 0) == 12426054289685354689
@@ -268,6 +302,39 @@ def test_uniform_sum_draws_are_uniform_before_and_after_rejection():
     rng = random.Random(2027)
     kept = Counter(sample_good(3, 2, rng, uniform_sums=True).cells for _ in range(1200))
     assert _chi_square(kept, good, 1200) < 25
+
+
+@pytest.mark.parametrize("rows_distinct", [False, True])
+def test_plain_band_valid_draws_are_uniform(rows_distinct):
+    support = [
+        x.cells
+        for x in enumerate_arrays(4, 3, 2)
+        if is_l_valid(x, 1) and (rows_are_distinct(x) or not rows_distinct)
+    ]
+    assert len(support) == (12 if rows_distinct else 36)
+    rng = random.Random(31 + rows_distinct)
+    draws = 40 * len(support)
+    kept = Counter(
+        sample_valid(4, 3, 2, 1, rng, rows_distinct=rows_distinct).cells for _ in range(draws)
+    )
+    # generous bound: about df + 6 * sqrt(2 * df) for df = 35 and df = 11
+    assert _chi_square(kept, support, draws) < (86 if not rows_distinct else 40)
+
+
+def test_plain_weakly_valid_draws_are_uniform():
+    # 3x3 binary, l = 1: each row alternates, so 2 ** 3 arrays
+    support = [x.cells for x in enumerate_arrays(3, 3, 2) if is_l_weakly_valid(x, 1)]
+    assert len(support) == 8
+    rng = random.Random(33)
+    kept = Counter(sample_weakly_valid(3, 3, 2, 1, rng).cells for _ in range(800))
+    assert _chi_square(kept, support, 800) < 32  # df = 7
+
+
+def test_thin_band_draw_is_quick():
+    start = time.perf_counter()
+    x = sample_valid(4, 7, 2, 1, random.Random(3))
+    assert is_l_valid(x, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_samplers_meet_their_postconditions():
