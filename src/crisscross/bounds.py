@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
 from .core_array import (
@@ -193,45 +195,125 @@ def run_ball_lb(r: int, s: int) -> int:
     return math.comb(r - s + 1, s)
 
 
-def _compositions(n: int, q: int):
-    """All ways to write n as q ordered nonnegative parts."""
-    for dividers in itertools.combinations(range(n + q - 1), q - 1):
-        prev = -1
-        parts = []
-        for cut in dividers:
-            parts.append(cut - prev - 1)
-            prev = cut
-        parts.append(n + q - 2 - prev)
-        yield tuple(parts)
+def _column_profile(
+    length: int, q: int, by_sum: bool = False, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[dict[int, int], ...]:
+    """The columns of the given length over {0, ..., q-1}, counted by the
+    multinomial m of their composition (the number of columns sharing it).
+
+    Without by_sum: one dict, m -> number of columns. With by_sum: one dict
+    per residue s mod g = gcd(length, q), counting the columns whose sum is
+    c (mod q), for any c == s (mod g). Adding a constant to every entry
+    permutes the symbols, so keeps m, and moves the sum by a multiple of
+    length; so these counts depend on c only modulo g.
+
+    A dynamic programme over the symbols keyed by (cells used, sum mod g,
+    product of part factorials) groups the compositions as it goes, so each
+    multinomial is divided out once. The cap bounds the composition states,
+    comb(length + q - 1, q - 1), before anything is allocated.
+    """
+    if length < 1 or q < 2:
+        raise InvalidParameterError("need length >= 1 and q >= 2")
+    states = math.comb(length + q - 1, q - 1)
+    if states > state_cap:
+        raise CapacityError(f"{states} composition states exceed the cap {state_cap}")
+    g = math.gcd(length, q) if by_sum else 1
+    fact = [math.factorial(k) for k in range(length + 1)]
+    partial = {(0, 0, 1): 1}  # (cells used, sum mod g, prod k!) -> compositions
+    for v in range(q - 1):
+        grown: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+        for (used, s, d), count in partial.items():
+            for k in range(length - used + 1):
+                grown[used + k, (s + v * k) % g, d * fact[k]] += count
+        partial = grown
+    counts: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(g)]
+    for (used, s, d), count in partial.items():
+        k = length - used  # the last symbol takes the remaining cells
+        m = fact[length] // (d * fact[k])
+        counts[(s + (q - 1) * k) % g][m] += m * count
+    if not by_sum:
+        return (dict(counts[0]),)
+    # counts[s] holds the q // g residues c == s (mod g), all alike
+    return tuple({m: n * g // q for m, n in per.items()} for per in counts)
 
 
-def _multinomial(comp: tuple[int, ...]) -> int:
-    total = math.factorial(sum(comp))
-    for part in comp:
-        total //= math.factorial(part)
-    return total
+@dataclass(frozen=True)
+class GoodChains:
+    """Counts of good column sequences over one set of columns.
+
+    totals[j] = F_j counts the sequences of j columns from the set whose
+    adjacent compositions differ (F_0 = 1). A column's continuation count
+    depends only on the multinomial m of its composition: phi_0(m) = 0 and
+    phi_j(m) = F_(j-1) - m phi_(j-1)(m) counts the sequences of j columns
+    that start with a given column of multinomial m.
+    """
+
+    totals: tuple[int, ...]
+    _weights: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def weights(self, composition: tuple[int, ...]) -> tuple[int, ...]:
+        """phi_0(m), ..., phi_L(m) for L = len(totals) - 1, where m is the
+        multinomial of a column whose sorted entries are `composition`.
+        Cached per composition."""
+        weights = self._weights.get(composition)
+        if weights is None:
+            m = math.factorial(len(composition))
+            for run in Counter(composition).values():
+                m //= math.factorial(run)
+            weights = [0]
+            for total in self.totals[:-1]:
+                weights.append(total - m * weights[-1])
+            weights = self._weights[composition] = tuple(weights)
+        return weights
+
+
+def _chain_totals(profile: dict[int, int], length: int) -> tuple[int, ...]:
+    # F_j = sum of count(m) phi_j(m); unrolled, F_j = sum over i < j of
+    # P_i F_(j-1-i) with moments P_i = sum of count(m) (-m)^i.
+    ms = list(profile)
+    powers = [profile[m] for m in ms]
+    moments = []
+    for i in range(length):
+        moments.append(sum(powers) * (-1) ** i)
+        if i + 1 < length:
+            powers = list(map(operator.mul, powers, ms))
+    totals = [1]
+    for j in range(1, length + 1):
+        totals.append(sum(map(operator.mul, moments[:j], reversed(totals))))
+    return tuple(totals)
+
+
+def good_chains(
+    rows: int, q: int, length: int, by_sum: bool = False, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[GoodChains, ...]:
+    """Good-sequence counts up to the given length, over the columns of
+    _column_profile(rows, q, by_sum): one entry, or with by_sum one per
+    residue s mod gcd(rows, q) for the columns with sum c == s.
+
+    Multiplying every entry by a unit of Z_q also permutes the symbols, so
+    residues with the same gcd with g share one entry.
+    """
+    profiles = _column_profile(rows, q, by_sum, state_cap)
+    g = len(profiles)
+    reps = [math.gcd(s, g) % g for s in range(g)]
+    shared = {rep: GoodChains(_chain_totals(profiles[rep], length)) for rep in set(reps)}
+    return tuple(shared[rep] for rep in reps)
 
 
 def count_good_exact(n: int, q: int, state_cap: int = DEFAULT_STATE_CAP) -> CountReport:
     """Exact number of n x n arrays whose adjacent column compositions all
-    differ, by dynamic programming over the previous column's composition.
+    differ, by dynamic programming over the previous column's composition
+    (see good_chains).
 
     lower_bound carries the reference value q^(n^2 - 1); it is only a proven
     bound when q >= 3, n >= q^2 and q divides n.
     """
     if n < 1 or q < 2:
         raise InvalidParameterError("need n >= 1 and q >= 2")
-    states = math.comb(n + q - 1, q - 1)
-    if states > state_cap:
-        raise CapacityError(f"{states} composition states exceed the cap {state_cap}")
-    weights = [_multinomial(c) for c in _compositions(n, q)]
-    current = weights[:]
-    for _ in range(n - 1):
-        total = sum(current)
-        current = [w * (total - v) for w, v in zip(weights, current)]
+    (chains,) = good_chains(n, q, n, state_cap=state_cap)
     return CountReport(
         method="transfer_matrix",
-        exact=sum(current),
+        exact=chains.totals[-1],
         lower_bound=Decimal(q) ** (n * n - 1),
     )
 
@@ -306,8 +388,9 @@ def max_constant_composition_class(n: int, q: int) -> int:
     if n < 0 or q < 1:
         raise InvalidParameterError("need n >= 0 and q >= 1")
     base, extra = divmod(n, q)
-    comp = (base + 1,) * extra + (base,) * (q - extra)
-    return _multinomial(comp)
+    return math.factorial(n) // (
+        math.factorial(base + 1) ** extra * math.factorial(base) ** (q - extra)
+    )
 
 
 def caro_wei_witness(

@@ -167,16 +167,20 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     )
 
 
+def _fits_grids(subs: list[list[Array2D]], p: C3Params) -> bool:
+    """Membership of the subarrays but for the anchor test: every subarray
+    is weakly band-valid and their grids are p's."""
+    return all(is_l_weakly_valid(sub, p.l) for row in subs for sub in row) and (
+        _grids(subs, p.l) == (p.a, p.b, p.d)
+    )
+
+
 def c3_check(x: Array2D, p: C3Params) -> bool:
     """Membership test: the anchor subarray is in the anchor class, every
     subarray is weakly band-valid, and x's own grids are p's."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
     subs = _subarrays(x, p.t_r, p.t_c)
-    if not c2_check(subs[0][0], p.anchor):
-        return False
-    if not all(is_l_weakly_valid(sub, p.l) for row in subs for sub in row):
-        return False
-    return _grids(subs, p.l) == (p.a, p.b, p.d)
+    return c2_check(subs[0][0], p.anchor) and _fits_grids(subs, p)
 
 
 def _resolve_subarray(
@@ -295,11 +299,12 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
         if j_res is not None:
             col_hits.append((u, j_res))
 
-    x = interleave_residue_subarrays(parts, p.t_r, p.t_c)
-    if not c3_check(x, p):
+    # c2_decode returned a member of the anchor class, so the rest of
+    # c3_check remains, on the subarrays in hand
+    if not _fits_grids(parts, p):
         raise NotACodewordError("reassembled array fails the class constraints")
     return DecodeOutcome(
-        array=x,
+        array=interleave_residue_subarrays(parts, p.t_r, p.t_c),
         row_interval=_window_starts(row_hits, p.t_r, p.n),
         col_interval=_window_starts(col_hits, p.t_c, p.n),
         path="residue",

@@ -9,14 +9,18 @@ without rerunning earlier trials.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .bounds import good_chains
 from .code_c1 import c1_syndromes
 from .code_c2 import c2_syndromes, default_band_height
 from .code_c3 import c3_syndromes
@@ -43,10 +47,7 @@ from .errors import (
 from .outcome import DecodeOutcome
 from .params_io import CONSTRUCTIONS
 from .reprs import (
-    ccr,
     check_band_height,
-    is_good,
-    is_l_weakly_valid,
     no_triple_runs,
     rcr,
     rows_are_distinct,
@@ -231,103 +232,210 @@ def _sum_class(rows: int, cols: int, q: int, k: int) -> tuple[int, int]:
     return r, c0 + (k % g) * step
 
 
-def _sum_class_cells(rows: int, cols: int, q: int, r: int, c: int, v: int):
-    """The member of sum class (r, c) whose free (rows-1) x (cols-1) block has
-    base-q value v, in [0, q**((rows-1)*(cols-1))).
+def _places(q: int, count: int) -> list[int]:
+    """Place values of count base-q digits, most significant first: a number
+    v below q**count has digits [v // p % q for p in _places(q, count)]."""
+    return [q ** (count - 1 - i) for i in range(count)]
 
-    Digits fill the block row-major, least significant first. The last column
-    is forced by the row sums, then the last row and the corner by the column
-    sums; (r, c) must be a sum class of the shape, so the last row also sums to r.
-    Every class therefore has exactly q**((rows-1)*(cols-1)) members, one per v.
+
+class _GoodRule:
+    """Adjacent columns have distinct compositions.
+
+    A column is drawn uniform (in its sum class), redrawn if its composition
+    is its left neighbour's, and kept with probability phi_k(m) / F_(k-1),
+    where k counts it and the chain columns after it (bounds.GoodChains). So
+    each column is drawn in proportion to the number of ways to finish the
+    chain after it, and every good chain is equally likely. Sum classes are
+    picked in proportion to their chain totals F_L.
     """
-    width = cols - 1
-    base = q**width
-    body = []
-    for _ in range(rows - 1):
-        v, chunk = divmod(v, base)
-        row = []
-        for _ in range(width):
-            chunk, d = divmod(chunk, q)
-            row.append(d)
-        row.append((r - sum(row)) % q)
-        body.append(tuple(row))
-    body.append(tuple((c - sum(col)) % q for col in zip(*body)))
-    return tuple(body)
+
+    name = "adjacent column compositions equal"
+
+    def __init__(self, rows: int, cols: int, q: int, uniform_sums: bool):
+        self.q = q
+        # the free cells of a column; with a sum the last one is forced
+        self.places = _places(q, rows - 1 if uniform_sums else rows)
+        self.span = q ** len(self.places)
+        length = cols - 1 if uniform_sums else cols
+        self.chains = good_chains(rows, q, length, by_sum=uniform_sums)
+        if uniform_sums:
+            count = _sum_class_count(rows, cols, q)
+            self.classes = [_sum_class(rows, cols, q, k) for k in range(count)]
+            g = len(self.chains)
+            self.cumulative = list(
+                itertools.accumulate(self.chains[c % g].totals[-1] for _, c in self.classes)
+            )
+            total = self.cumulative[-1]
+        else:
+            total = self.chains[0].totals[-1]
+        self.empty = None if total else "no sum class has a good chain of columns"
+
+    def pick_class(self, rng: random.Random) -> tuple[int, int]:
+        k = bisect.bisect_right(self.cumulative, rng.randrange(self.cumulative[-1]))
+        return self.classes[k]
+
+    def draw(self, rng: random.Random, c: int | None, prev, depth: int):
+        chains = self.chains[0 if c is None else c % len(self.chains)]
+        total = chains.totals[depth - 1]
+        q, places = self.q, self.places
+        while True:
+            v = rng.randrange(self.span)
+            col = [v // p % q for p in places]
+            if c is not None:
+                col.append((c - sum(col)) % q)
+            key = tuple(sorted(col))
+            if key != prev and rng.randrange(total) < chains.weights(key)[depth]:
+                return col, key
+
+    def admits(self, prev, col) -> bool:
+        return tuple(sorted(col)) != prev
 
 
-def _uniform_sum_cells(rng: random.Random, rows: int, cols: int, q: int):
-    """An exactly uniform draw over the rows x cols arrays with constant row
-    sums and constant column sums (mod q): a uniform sum class, then a
-    uniform member of it. All classes have equal size, so the two steps
-    compose to the uniform distribution."""
-    # randrange(n) and choice(seq) both consume one _randbelow(n), so seeded
-    # draws match a choice from the list of all sum classes.
-    r, c = _sum_class(rows, cols, q, rng.randrange(_sum_class_count(rows, cols, q)))
-    v = rng.randrange(q ** ((rows - 1) * (cols - 1)))
-    return _sum_class_cells(rows, cols, q, r, c, v)
+class _BandRule:
+    """Each of the first three height-l bands differs from the left neighbour's.
 
-
-def _band_cells(rng: random.Random, rows: int, cols: int, q: int, l: int):
-    """An exactly uniform draw over the rows x cols arrays whose first three
-    height-l bands have distinct adjacent columns.
-
-    Each band is drawn column by column, a column being a base-q number of l
-    digits (top row most significant): the first uniform over the q**l
-    values, each later one uniform over the q**l - 1 values that differ from
-    its left neighbour. The rows below the bands are uniform.
+    A band is read as a base-q number of l digits (top row most significant)
+    and drawn uniform among the q**l - 1 values other than its neighbour's;
+    the rows below the bands are uniform. With a column sum, the last cell
+    is forced: below the bands when there are rows below them, else in band
+    3, whose other l - 1 digits are drawn uniform and the column redrawn if
+    band 3 then equals its neighbour's. By inclusion-exclusion over the
+    matched bands, every column has the same number of admissible
+    successors in its sum class, so sum classes are picked uniformly.
     """
-    span = q**l
-    cells = []
-    for _ in range(3):
-        band = [rng.randrange(span)]
-        for _ in range(cols - 1):
-            v = rng.randrange(span - 1)
-            band.append(v + (v >= band[-1]))
-        cells += ([v // q ** (l - 1 - i) % q for v in band] for i in range(l))
-    cells += ([rng.randrange(q) for _ in range(cols)] for _ in range(rows - 3 * l))
-    return cells
+
+    name = "band adjacency"
+
+    def __init__(self, rows: int, cols: int, q: int, l: int, uniform_sums: bool):
+        check_band_height(rows, l)
+        self.rows, self.cols, self.q, self.l = rows, cols, q, l
+        self.forced_band = uniform_sums and rows == 3 * l
+        self.drawn = 2 if self.forced_band else 3  # bands drawn by skipping
+        self.span = q**l
+        self.band_places = _places(q, l)
+        # free digits after the drawn bands: band 3 but its forced last cell,
+        # or the rows below the bands but the forced one
+        free = l - 1 if self.forced_band else rows - 3 * l - int(uniform_sums)
+        self.free_places = _places(q, free)
+        self.spans = (self.span**self.drawn * q**free, (self.span - 1) ** self.drawn * q**free)
+        successors = sum(
+            (-1) ** j * math.comb(3, j) * (q ** (rows - j * l - 1) if rows > j * l else 1)
+            for j in range(4)
+        )
+        self.empty = None
+        if uniform_sums and cols > 2 and successors == 0:
+            self.empty = (
+                f"no column with a fixed sum differs from its left neighbour in "
+                f"all three bands of height {l} ({rows} rows, q={q})"
+            )
+
+    def pick_class(self, rng: random.Random) -> tuple[int, int]:
+        k = rng.randrange(_sum_class_count(self.rows, self.cols, self.q))
+        return _sum_class(self.rows, self.cols, self.q, k)
+
+    def draw(self, rng: random.Random, c: int | None, prev, depth: int):
+        q = self.q
+        base = self.span if prev is None else self.span - 1
+        while True:
+            v = rng.randrange(self.spans[prev is not None])
+            bands = []
+            for k in range(self.drawn):
+                v, b = divmod(v, base)
+                bands.append(b if prev is None else b + (b >= prev[k]))
+            col = [b // p % q for b in bands for p in self.band_places]
+            col += [v // p % q for p in self.free_places]
+            if c is not None:
+                col.append((c - sum(col)) % q)
+            if not self.forced_band:
+                return col, bands
+            last = self.band(col, 2)
+            if prev is None or last != prev[2]:
+                return col, (*bands, last)
+
+    def band(self, col, k: int) -> int:
+        return sum(map(operator.mul, col[k * self.l:(k + 1) * self.l], self.band_places))
+
+    def admits(self, prev, col) -> bool:
+        return all(self.band(col, k) != prev[k] for k in range(3))
 
 
-def _rejection_sample(
+_good_rule = functools.lru_cache(maxsize=64)(_GoodRule)
+_band_rule = functools.lru_cache(maxsize=64)(_BandRule)
+
+
+def _forced_column(columns, r: int, q: int) -> list[int]:
+    """The column that brings every row of the given columns to sum r (mod q)."""
+    return [(r - sum(row)) % q for row in zip(*columns)]
+
+
+def _runs_three(keys) -> bool:
+    return len(keys) > 2 and keys[-1] == keys[-2] == keys[-3]
+
+
+def _propose(rng, rows, cols, q, rule, uniform_sums, column_runs):
+    """One chain proposal: its columns, or the name of the predicate that
+    dropped it."""
+    r = c = None
+    if uniform_sums:
+        r, c = rule.pick_class(rng)
+    columns, keys, state = [], [], None
+    for depth in range(cols - 1 if uniform_sums else cols, 0, -1):
+        col, state = rule.draw(rng, c, state, depth)
+        columns.append(col)
+        if column_runs:
+            keys.append(tuple(sorted(col)))
+            if _runs_three(keys):
+                return "column composition run of three"
+    if uniform_sums:
+        last = _forced_column(columns, r, q)
+        if not rule.admits(state, last):
+            return rule.name
+        columns.append(last)
+        if column_runs:
+            keys.append(tuple(sorted(last)))
+            if _runs_three(keys):
+                return "column composition run of three"
+    return columns
+
+
+def _chain_sample(
     rng: random.Random,
     rows: int,
     cols: int,
     q: int,
+    rule,
     checks,
     budget: int,
     uniform_sums: bool,
     what: str,
-    band: int | None = None,
+    column_runs: bool = False,
 ) -> Array2D:
-    """Draw uniform arrays (all arrays of the shape, or with uniform_sums the
-    constant-sum ones) until every check passes, so the result is uniform over
-    the arrays that pass.
+    """Draw column chains until every check passes, so the result is uniform
+    over the arrays that pass (and, with uniform_sums, have constant row sums
+    and constant column sums mod q).
 
-    With a band height, the arrays must also pass band adjacency: plain draws
-    come from _band_cells, which only draws such arrays, and uniform-sum draws
-    are checked for it first.
+    A proposal draws columns left to right, each admissible next to its left
+    neighbour under the rule. With uniform_sums it first picks a sum class
+    (r, c), draws the first cols - 1 columns with column sum c and forces the
+    last one from the row sums; the last adjacent pair is then checked
+    against the rule. With column_runs a proposal is dropped as soon as three
+    adjacent columns share a composition. budget counts proposals.
     """
     if uniform_sums and (rows < 2 or cols < 2):
         raise InvalidParameterError("uniform-sum sampling needs at least a 2x2 shape")
-    if band is not None:
-        check_band_height(rows, band)
-        if uniform_sums:
-            checks = [("band adjacency", lambda x: is_l_weakly_valid(x, band)), *checks]
+    if rule.empty:
+        raise SamplingError(f"cannot sample {what} ({rows}x{cols}, q={q}): {rule.empty}")
     rejections: Counter[str] = Counter()
     for _ in range(budget):
-        if uniform_sums:
-            cells = _uniform_sum_cells(rng, rows, cols, q)
-        elif band is not None:
-            cells = _band_cells(rng, rows, cols, q, band)
-        else:
-            cells = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        x = Array2D(cells, q)
-        for name, pred in checks:
-            if not pred(x):
-                rejections[name] += 1
-                break
-        else:
+        columns = _propose(rng, rows, cols, q, rule, uniform_sums, column_runs)
+        if isinstance(columns, str):
+            rejections[columns] += 1
+            continue
+        x = Array2D(zip(*columns), q)
+        failed = next((name for name, pred in checks if not pred(x)), None)
+        if failed is None:
             return x
+        rejections[failed] += 1
     detail = ", ".join(f"{name}: {count}" for name, count in rejections.most_common())
     raise SamplingError(
         f"budget {budget} exhausted sampling {what} ({rows}x{cols}, q={q}); "
@@ -346,11 +454,15 @@ def sample_good(
 
     Uniform over the good arrays of the shape, or with uniform_sums over the
     good arrays whose row sums and column sums are each constant (mod q).
+    The chain weights need the column compositions of length n over q
+    symbols: CapacityError when comb(n + q - 1, q - 1) exceeds
+    bounds.DEFAULT_STATE_CAP.
     """
-    return _rejection_sample(
-        rng, n, n, q,
-        [("adjacent column compositions equal", is_good)],
-        budget, uniform_sums, "a good array",
+    if uniform_sums and n < 2:
+        raise InvalidParameterError("uniform-sum sampling needs at least a 2x2 shape")
+    return _chain_sample(
+        rng, n, n, q, _good_rule(n, n, q, uniform_sums), [], budget, uniform_sums,
+        "a good array",
     )
 
 
@@ -368,8 +480,9 @@ def sample_weakly_valid(
     Uniform over such arrays of the shape (with uniform_sums: over those with
     constant row sums and constant column sums).
     """
-    return _rejection_sample(
-        rng, rows, cols, q, [], budget, uniform_sums, "a weakly band-valid array", band=l
+    return _chain_sample(
+        rng, rows, cols, q, _band_rule(rows, cols, q, l, uniform_sums), [], budget,
+        uniform_sums, "a weakly band-valid array",
     )
 
 
@@ -387,18 +500,17 @@ def sample_valid(
 
     Uniform over the arrays of the shape that pass every predicate (with
     uniform_sums: over those among the constant-row-sum, constant-column-sum
-    arrays). Plain draws pass band adjacency by construction; the other
-    predicates are checked in order so the sampling diagnostics name the
-    dominant rejection cause.
+    arrays). Band adjacency holds by construction but for the forced last
+    column; runs of three column compositions are caught while chaining, and
+    the other predicates are checked in order, so the sampling diagnostics
+    name the dominant rejection cause.
     """
-    checks = [
-        ("column composition run of three", lambda x: no_triple_runs(ccr(x))),
-        ("row composition run of three", lambda x: no_triple_runs(rcr(x))),
-    ]
+    checks = [("row composition run of three", lambda x: no_triple_runs(rcr(x)))]
     if rows_distinct:
         checks.append(("equal consecutive rows", rows_are_distinct))
-    return _rejection_sample(
-        rng, rows, cols, q, checks, budget, uniform_sums, "a band-valid array", band=l
+    return _chain_sample(
+        rng, rows, cols, q, _band_rule(rows, cols, q, l, uniform_sums), checks, budget,
+        uniform_sums, "a band-valid array", column_runs=True,
     )
 
 

@@ -10,6 +10,7 @@ from crisscross.bounds import (
     caro_wei_witness,
     count_good_exact,
     count_valid,
+    good_chains,
     gv_upper_bound,
     levenshtein_insertion_count,
     max_constant_composition_class,
@@ -115,6 +116,41 @@ def test_count_good_large_instance_bound():
 def test_count_good_state_cap():
     with pytest.raises(CapacityError):
         count_good_exact(30, 30, state_cap=10)
+    with pytest.raises(CapacityError):
+        good_chains(30, 30, 30, by_sum=True)
+
+
+def test_good_chain_total_is_the_good_count():
+    for n in range(1, 7):
+        for q in (2, 3):
+            (chains,) = good_chains(n, q, n)
+            assert chains.totals[-1] == count_good_exact(n, q).exact
+
+
+def _good_sequences(columns, length):
+    return [
+        seq
+        for seq in itertools.product(columns, repeat=length)
+        if all(sorted(a) != sorted(b) for a, b in zip(seq, seq[1:]))
+    ]
+
+
+@pytest.mark.parametrize("rows, q, length", [(3, 3, 3), (4, 2, 4), (2, 4, 3), (3, 2, 4)])
+def test_good_chains_count_sequences_by_column_sum(rows, q, length):
+    columns = list(itertools.product(range(q), repeat=rows))
+    plain = good_chains(rows, q, length)
+    by_sum = good_chains(rows, q, length, by_sum=True)
+    assert len(plain) == 1 and len(by_sum) == math.gcd(rows, q)
+    for c in [None, *range(q)]:
+        chains = plain[0] if c is None else by_sum[c % len(by_sum)]
+        pool = [col for col in columns if c is None or sum(col) % q == c]
+        for j in range(length + 1):
+            sequences = _good_sequences(pool, j)
+            assert chains.totals[j] == len(sequences)
+            # phi_j counts the good sequences that start with a given column
+            for col in pool[:4]:
+                starting = sum(1 for seq in sequences if seq[:1] == (col,))
+                assert chains.weights(tuple(sorted(col)))[j] == starting
 
 
 def test_count_valid_exact_small():

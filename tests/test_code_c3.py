@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from crisscross import code_c3
 from crisscross.code_c2 import c2_syndromes
 from crisscross.code_c3 import C3Params, c3_check, c3_decode, c3_syndromes
 from crisscross.core_array import (
     Array2D,
     BurstPattern,
     delete_rows_cols,
+    extract_residue_subarray,
     interleave_residue_subarrays,
 )
 from crisscross.errors import (
@@ -19,6 +21,7 @@ from crisscross.errors import (
     NotACodewordError,
     NotInstantiableError,
 )
+from crisscross.reprs import is_l_weakly_valid
 from crisscross.verify import sample_valid, sample_weakly_valid
 
 
@@ -166,3 +169,72 @@ def test_position_dependent_sums_fail_honestly():
             wrong += 1
     assert wrong == 0
     assert honest > 0 and clean > 0
+
+
+def _with_cell(sub, i, j, v):
+    cells = [list(row) for row in sub.cells]
+    cells[i][j] = v
+    return Array2D(cells, sub.q)
+
+
+def _subs_2x2(x):
+    return [[extract_residue_subarray(x, s, u, 2, 2) for u in (1, 2)] for s in (1, 2)]
+
+
+@pytest.mark.parametrize("broken", ["grids", "weak validity"])
+def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
+    # The decoder checks the anchor inside c2_decode and the rest of c3_check
+    # on the subarrays it resolved: make the first non-anchor subarray (1, 2)
+    # come back tampered, breaking one of the two remaining conditions only.
+    rng = random.Random(12)
+    x = make_codeword(rng, 8, 3, 2, 2, 1)
+    subs = _subs_2x2(x)
+    sub = subs[0][1]
+    if broken == "grids":
+        # row 4 lies below the three unit bands: weak validity stays
+        tampered = _with_cell(sub, 3, 0, (sub.cells[3][0] + 1) % 3)
+        assert is_l_weakly_valid(tampered, 1)
+    else:
+        # equal adjacent cells in band 1; the class is taken from the result
+        tampered = _with_cell(sub, 0, 1, sub.cells[0][0])
+        assert not is_l_weakly_valid(tampered, 1)
+        subs[0][1] = tampered
+        x = interleave_residue_subarrays(subs, 2, 2)
+    p = c3_syndromes(x, 2, 2, 1)
+    assert (code_c3._grids([[subs[0][0], tampered], subs[1]], 1) == (p.a, p.b, p.d)) == (
+        broken == "weak validity"
+    )
+    real = code_c3._resolve_subarray
+    calls = []
+
+    def resolve(*args):
+        calls.append(args)
+        return (tampered, None, None) if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(code_c3, "_resolve_subarray", resolve)
+    y = delete_rows_cols(x, BurstPattern(3, 5, 2, 2))
+    with pytest.raises(NotACodewordError, match="class constraints"):
+        c3_decode(y, p)
+    assert len(calls) == 3
+
+
+def test_decode_never_returns_a_non_member_on_random_minors():
+    rng = random.Random(31)
+    x = make_codeword(rng, 8, 3, 2, 2, 1)
+    p = c3_syndromes(x, 2, 2, 1)
+    returned = 0
+    for k in range(400):
+        y = delete_rows_cols(
+            x, BurstPattern(rng.randint(1, 7), rng.randint(1, 7), 2, 2)
+        )
+        if k % 2:  # one cell off a genuine minor
+            y = _with_cell(y, rng.randrange(6), rng.randrange(6), rng.randrange(3))
+        if k % 4 == 3:  # no relation to the codeword at all
+            y = Array2D([[rng.randrange(3) for _ in range(6)] for _ in range(6)], 3)
+        try:
+            out = c3_decode(y, p)
+        except (AmbiguityError, NotACodewordError):
+            continue
+        assert c3_check(out.array, p)
+        returned += 1
+    assert returned >= 200  # the genuine minors at least

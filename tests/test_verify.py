@@ -33,11 +33,12 @@ from crisscross.verify import (
     TrialConfig,
     TrialStats,
     VerificationReport,
+    _BandRule,
+    _forced_column,
+    _good_rule,
     _subseed,
     _sum_class,
-    _sum_class_cells,
     _sum_class_count,
-    _uniform_sum_cells,
     decode_by_codebook,
     duality_check,
     sample_good,
@@ -220,12 +221,14 @@ def test_subseed_derivation_is_frozen():
 
 def test_uniform_sum_cells_have_constant_sums():
     rng = random.Random(11)
-    for rows, cols, q in [(3, 3, 2), (4, 6, 3), (5, 2, 4)]:
+    for draw, q in [
+        (lambda: sample_good(3, 2, rng, uniform_sums=True), 2),
+        (lambda: sample_weakly_valid(4, 6, 3, 1, rng, uniform_sums=True), 3),
+        (lambda: sample_valid(5, 4, 4, 1, rng, uniform_sums=True), 4),
+    ]:
         for _ in range(20):
-            cells = _uniform_sum_cells(rng, rows, cols, q)
-            row_sums = {sum(row) % q for row in cells}
-            col_sums = {sum(col) % q for col in zip(*cells)}
-            assert len(row_sums) == 1 and len(col_sums) == 1
+            x = draw()
+            assert len(set(x.row_sums())) == 1 and len(set(x.col_sums())) == 1
 
 
 def _sum_classes(rows, cols, q):
@@ -248,22 +251,21 @@ def test_sum_class_arithmetic_matches_the_list():
 
 
 def test_uniform_sum_draws_match_a_choice_from_the_class_list():
+    # band samplers pick their class uniformly: randrange(n) and choice(seq)
+    # both consume one _randbelow(n)
     for rows, cols, q in [(3, 3, 2), (4, 6, 3), (6, 4, 6), (5, 2, 4)]:
+        rule = _BandRule(rows, cols, q, 1, uniform_sums=True)
         rng, ref = random.Random(5), random.Random(5)
         for _ in range(30):
-            r, c = ref.choice(_sum_classes(rows, cols, q))
-            v = ref.randrange(q ** ((rows - 1) * (cols - 1)))
-            want = _sum_class_cells(rows, cols, q, r, c, v)
-            assert _uniform_sum_cells(rng, rows, cols, q) == want
+            assert rule.pick_class(rng) == ref.choice(_sum_classes(rows, cols, q))
 
 
 def test_uniform_sum_draw_with_a_huge_alphabet_is_quick():
     q = 10**6
     start = time.perf_counter()
-    cells = _uniform_sum_cells(random.Random(4), 4, 4, q)
+    x = sample_weakly_valid(4, 4, q, 1, random.Random(4), uniform_sums=True)
     assert time.perf_counter() - start < 0.5
-    assert len({sum(row) % q for row in cells}) == 1
-    assert len({sum(col) % q for col in zip(*cells)}) == 1
+    assert len(set(x.row_sums())) == 1 and len(set(x.col_sums())) == 1
 
 
 def _uniform_sum_members(rows, cols, q, r, c):
@@ -276,9 +278,16 @@ def _uniform_sum_members(rows, cols, q, r, c):
 
 @pytest.mark.parametrize("rows, cols, q", [(3, 3, 2), (2, 3, 3), (3, 2, 4)])
 def test_sum_class_map_is_a_bijection_onto_each_class(rows, cols, q):
-    free = q ** ((rows - 1) * (cols - 1))
+    # the chains draw cols - 1 columns with sum c and force the last from the
+    # row sums; that map hits every member of the class once
     for r, c in _sum_classes(rows, cols, q):
-        images = [_sum_class_cells(rows, cols, q, r, c, v) for v in range(free)]
+        column_sum_c = [
+            col for col in itertools.product(range(q), repeat=rows) if sum(col) % q == c
+        ]
+        images = []
+        for head in itertools.product(column_sum_c, repeat=cols - 1):
+            columns = [*head, _forced_column(head, r, q)]
+            images.append(tuple(zip(*columns)))
         assert sorted(images) == _uniform_sum_members(rows, cols, q, r, c)
 
 
@@ -288,20 +297,84 @@ def _chi_square(counts, support, draws):
     return sum((counts[k] - expected) ** 2 / expected for k in support)
 
 
-def test_uniform_sum_draws_are_uniform_before_and_after_rejection():
+def _chi_square_bound(support):
+    """A generous bound: about df + 6 * sqrt(2 * df), df = len(support) - 1."""
+    df = len(support) - 1
+    return df + 6 * math.sqrt(2 * df)
+
+
+def _uniform_sum_support(rows, cols, q, keep):
+    """The arrays with constant row sums and constant column sums that pass
+    keep, stacked from rows of each row sum."""
+    support = []
+    for r in range(q):
+        rows_r = [row for row in itertools.product(range(q), repeat=cols) if sum(row) % q == r]
+        for cells in itertools.product(rows_r, repeat=rows):
+            x = Array2D(cells, q)
+            if len(set(x.col_sums())) == 1 and keep(x):
+                support.append(cells)
+    return support
+
+
+def test_uniform_sum_good_draws_are_uniform():
     # 3x3 binary: classes (0, 0) and (1, 1), 16 arrays each; 6 of the 32 are good
-    support = [
-        cells for r, c in _sum_classes(3, 3, 2) for cells in _uniform_sum_members(3, 3, 2, r, c)
-    ]
-    good = [cells for cells in support if is_good(Array2D(cells, 2))]
-    assert (len(support), len(good)) == (32, 6)
-    # generous bounds: about df + 6 * sqrt(2 * df) for df = 31 and df = 5
-    rng = random.Random(2026)
-    draws = Counter(_uniform_sum_cells(rng, 3, 3, 2) for _ in range(3200))
-    assert _chi_square(draws, support, 3200) < 80
+    good = _uniform_sum_support(3, 3, 2, is_good)
+    assert len(good) == 6
     rng = random.Random(2027)
     kept = Counter(sample_good(3, 2, rng, uniform_sums=True).cells for _ in range(1200))
     assert _chi_square(kept, good, 1200) < 25
+
+
+@pytest.mark.parametrize("n, q, size, seed", [(3, 3, 282, 41), (4, 2, 250, 42)])
+def test_uniform_sum_good_chain_is_exact(n, q, size, seed):
+    support = _uniform_sum_support(n, n, q, is_good)
+    assert len(support) == size
+    rng = random.Random(seed)
+    draws = 20 * size
+    kept = Counter(sample_good(n, q, rng, uniform_sums=True).cells for _ in range(draws))
+    assert _chi_square(kept, support, draws) < _chi_square_bound(support)
+
+
+def test_uniform_sum_weakly_valid_chain_is_exact():
+    # three rows, unit bands: every row must change at each step
+    support = _uniform_sum_support(3, 4, 3, lambda x: is_l_weakly_valid(x, 1))
+    assert len(support) == 24
+    rng = random.Random(43)
+    draws = 40 * len(support)
+    kept = Counter(
+        sample_weakly_valid(3, 4, 3, 1, rng, uniform_sums=True).cells for _ in range(draws)
+    )
+    assert _chi_square(kept, support, draws) < _chi_square_bound(support)
+
+
+def test_plain_good_chain_is_exact():
+    support = [x.cells for x in enumerate_arrays(3, 3, 2) if is_good(x)]
+    rng = random.Random(44)
+    draws = 20 * len(support)
+    kept = Counter(sample_good(3, 2, rng).cells for _ in range(draws))
+    assert _chi_square(kept, support, draws) < _chi_square_bound(support)
+
+
+def test_good_chains_are_quick():
+    start = time.perf_counter()
+    assert is_good(sample_good(64, 2, random.Random(5), uniform_sums=True))
+    assert time.perf_counter() - start < 1.0
+    _good_rule.cache_clear()
+    start = time.perf_counter()
+    x = sample_good(72, 4, random.Random(6), uniform_sums=True)
+    assert time.perf_counter() - start < 1.0
+    assert is_good(x) and len(set(x.row_sums())) == 1 and len(set(x.col_sums())) == 1
+
+
+def test_empty_chains_are_refused_before_sampling():
+    # three binary rows and unit bands: flipping all three cells of a column
+    # flips its sum, so no column with the same sum can follow it
+    start = time.perf_counter()
+    with pytest.raises(SamplingError, match="all three bands"):
+        sample_weakly_valid(3, 4, 2, 1, random.Random(0), uniform_sums=True)
+    with pytest.raises(SamplingError, match="all three bands"):
+        sample_valid(3, 5, 2, 1, random.Random(0), uniform_sums=True, budget=10**9)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("rows_distinct", [False, True])
