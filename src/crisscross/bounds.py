@@ -209,14 +209,11 @@ def _column_profile(
 
     A dynamic programme over the symbols keyed by (cells used, sum mod g,
     product of part factorials) groups the compositions as it goes, so each
-    multinomial is divided out once. The cap bounds the composition states,
-    comb(length + q - 1, q - 1), before anything is allocated.
+    multinomial is divided out once; CapacityError as soon as it would hold
+    more than state_cap states.
     """
     if length < 1 or q < 2:
         raise InvalidParameterError("need length >= 1 and q >= 2")
-    states = math.comb(length + q - 1, q - 1)
-    if states > state_cap:
-        raise CapacityError(f"{states} composition states exceed the cap {state_cap}")
     g = math.gcd(length, q) if by_sum else 1
     fact = [math.factorial(k) for k in range(length + 1)]
     partial = {(0, 0, 1): 1}  # (cells used, sum mod g, prod k!) -> compositions
@@ -225,6 +222,8 @@ def _column_profile(
         for (used, s, d), count in partial.items():
             for k in range(length - used + 1):
                 grown[used + k, (s + v * k) % g, d * fact[k]] += count
+            if len(grown) > state_cap:
+                raise CapacityError(f"more than {state_cap} composition states")
         partial = grown
     counts: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(g)]
     for (used, s, d), count in partial.items():
@@ -310,6 +309,9 @@ def count_good_exact(n: int, q: int, state_cap: int = DEFAULT_STATE_CAP) -> Coun
     """
     if n < 1 or q < 2:
         raise InvalidParameterError("need n >= 1 and q >= 2")
+    states = math.comb(n + q - 1, q - 1)
+    if states > state_cap:
+        raise CapacityError(f"{states} composition states exceed the cap {state_cap}")
     (chains,) = good_chains(n, q, n, state_cap=state_cap)
     return CountReport(
         method="transfer_matrix",

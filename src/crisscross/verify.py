@@ -348,7 +348,7 @@ class _BandRule:
                 col.append((c - sum(col)) % q)
             if not self.forced_band:
                 return col, bands
-            last = self.band(col, 2)
+            last = v * q + col[-1]  # band 3: its free digits, then the forced one
             if prev is None or last != prev[2]:
                 return col, (*bands, last)
 
@@ -372,7 +372,7 @@ def _runs_three(keys) -> bool:
     return len(keys) > 2 and keys[-1] == keys[-2] == keys[-3]
 
 
-def _propose(rng, rows, cols, q, rule, uniform_sums, column_runs):
+def _propose(rng, cols, q, rule, uniform_sums, column_runs):
     """One chain proposal: its columns, or the name of the predicate that
     dropped it."""
     r = c = None
@@ -427,7 +427,7 @@ def _chain_sample(
         raise SamplingError(f"cannot sample {what} ({rows}x{cols}, q={q}): {rule.empty}")
     rejections: Counter[str] = Counter()
     for _ in range(budget):
-        columns = _propose(rng, rows, cols, q, rule, uniform_sums, column_runs)
+        columns = _propose(rng, cols, q, rule, uniform_sums, column_runs)
         if isinstance(columns, str):
             rejections[columns] += 1
             continue
@@ -454,12 +454,10 @@ def sample_good(
 
     Uniform over the good arrays of the shape, or with uniform_sums over the
     good arrays whose row sums and column sums are each constant (mod q).
-    The chain weights need the column compositions of length n over q
-    symbols: CapacityError when comb(n + q - 1, q - 1) exceeds
-    bounds.DEFAULT_STATE_CAP.
+    The chain weights group the column compositions by multinomial
+    (bounds.good_chains): CapacityError when that needs more than
+    bounds.DEFAULT_STATE_CAP states.
     """
-    if uniform_sums and n < 2:
-        raise InvalidParameterError("uniform-sum sampling needs at least a 2x2 shape")
     return _chain_sample(
         rng, n, n, q, _good_rule(n, n, q, uniform_sums), [], budget, uniform_sums,
         "a good array",
