@@ -13,12 +13,13 @@ log-domain summaries and in Monte-Carlo estimates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .core_array import (
@@ -236,7 +237,7 @@ def _column_profile(
     return tuple({m: n * g // q for m, n in per.items()} for per in counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoodChains:
     """Counts of good column sequences over one set of columns.
 
@@ -248,22 +249,28 @@ class GoodChains:
     """
 
     totals: tuple[int, ...]
-    _weights: dict = field(default_factory=dict, compare=False, repr=False)
 
     def weights(self, composition: tuple[int, ...]) -> tuple[int, ...]:
         """phi_0(m), ..., phi_L(m) for L = len(totals) - 1, where m is the
-        multinomial of a column whose sorted entries are `composition`.
-        Cached per composition."""
-        weights = self._weights.get(composition)
-        if weights is None:
-            m = math.factorial(len(composition))
-            for run in Counter(composition).values():
-                m //= math.factorial(run)
-            weights = [0]
-            for total in self.totals[:-1]:
-                weights.append(total - m * weights[-1])
-            weights = self._weights[composition] = tuple(weights)
-        return weights
+        multinomial of a column whose sorted entries are `composition`."""
+        return _chain_weights(self, _arrangements(composition))
+
+
+@functools.lru_cache(maxsize=4096)
+def _arrangements(composition: tuple[int, ...]) -> int:
+    m = math.factorial(len(composition))
+    for run in Counter(composition).values():
+        m //= math.factorial(run)
+    return m
+
+
+# Bounded: at 72 rows over 4 symbols one entry holds about 47 kB.
+@functools.lru_cache(maxsize=256)
+def _chain_weights(chains: GoodChains, m: int) -> tuple[int, ...]:
+    weights = [0]
+    for total in chains.totals[:-1]:
+        weights.append(total - m * weights[-1])
+    return tuple(weights)
 
 
 def _chain_totals(profile: dict[int, int], length: int) -> tuple[int, ...]:

@@ -317,6 +317,7 @@ class _BandRule:
         # or the rows below the bands but the forced one
         free = l - 1 if self.forced_band else rows - 3 * l - int(uniform_sums)
         self.free_places = _places(q, free)
+        # random numbers per column, without and with a left neighbour
         self.spans = (self.span**self.drawn * q**free, (self.span - 1) ** self.drawn * q**free)
         successors = sum(
             (-1) ** j * math.comb(3, j) * (q ** (rows - j * l - 1) if rows > j * l else 1)
@@ -368,32 +369,25 @@ def _forced_column(columns, r: int, q: int) -> list[int]:
     return [(r - sum(row)) % q for row in zip(*columns)]
 
 
-def _runs_three(keys) -> bool:
-    return len(keys) > 2 and keys[-1] == keys[-2] == keys[-3]
-
-
 def _propose(rng, cols, q, rule, uniform_sums, column_runs):
     """One chain proposal: its columns, or the name of the predicate that
     dropped it."""
     r = c = None
     if uniform_sums:
         r, c = rule.pick_class(rng)
+    length = cols - 1 if uniform_sums else cols  # drawn; a forced one follows
     columns, keys, state = [], [], None
-    for depth in range(cols - 1 if uniform_sums else cols, 0, -1):
-        col, state = rule.draw(rng, c, state, depth)
+    for j in range(cols):
+        if j < length:
+            col, state = rule.draw(rng, c, state, length - j)
+        else:
+            col = _forced_column(columns, r, q)
+            if not rule.admits(state, col):
+                return rule.name
         columns.append(col)
         if column_runs:
             keys.append(tuple(sorted(col)))
-            if _runs_three(keys):
-                return "column composition run of three"
-    if uniform_sums:
-        last = _forced_column(columns, r, q)
-        if not rule.admits(state, last):
-            return rule.name
-        columns.append(last)
-        if column_runs:
-            keys.append(tuple(sorted(last)))
-            if _runs_three(keys):
+            if len(keys) > 2 and keys[-1] == keys[-2] == keys[-3]:
                 return "column composition run of three"
     return columns
 
