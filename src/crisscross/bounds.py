@@ -197,16 +197,11 @@ def run_ball_lb(r: int, s: int) -> int:
 
 
 def _column_profile(
-    length: int, q: int, by_sum: bool = False, state_cap: int = DEFAULT_STATE_CAP
+    length: int, q: int, g: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> tuple[dict[int, int], ...]:
-    """The columns of the given length over {0, ..., q-1}, counted by the
-    multinomial m of their composition (the number of columns sharing it).
-
-    Without by_sum: one dict, m -> number of columns. With by_sum: one dict
-    per residue s mod g = gcd(length, q), counting the columns whose sum is
-    c (mod q), for any c == s (mod g). Adding a constant to every entry
-    permutes the symbols, so keeps m, and moves the sum by a multiple of
-    length; so these counts depend on c only modulo g.
+    """The compositions of length over q symbols, by sum: entry s maps each
+    multinomial m to the number of compositions with multinomial m whose
+    weighted sum (symbol value times count) is s (mod g), for g dividing q.
 
     A dynamic programme over the symbols keyed by (cells used, sum mod g,
     product of part factorials) groups the compositions as it goes, so each
@@ -215,10 +210,9 @@ def _column_profile(
     """
     if length < 1 or q < 2:
         raise InvalidParameterError("need length >= 1 and q >= 2")
-    g = math.gcd(length, q) if by_sum else 1
     fact = [math.factorial(k) for k in range(length + 1)]
     partial = {(0, 0, 1): 1}  # (cells used, sum mod g, prod k!) -> compositions
-    for v in range(q - 1):
+    for v in range(q - 2):
         grown: defaultdict[tuple[int, int, int], int] = defaultdict(int)
         for (used, s, d), count in partial.items():
             for k in range(length - used + 1):
@@ -228,13 +222,11 @@ def _column_profile(
         partial = grown
     counts: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(g)]
     for (used, s, d), count in partial.items():
-        k = length - used  # the last symbol takes the remaining cells
-        m = fact[length] // (d * fact[k])
-        counts[(s + (q - 1) * k) % g][m] += m * count
-    if not by_sum:
-        return (dict(counts[0]),)
-    # counts[s] holds the q // g residues c == s (mod g), all alike
-    return tuple({m: n * g // q for m, n in per.items()} for per in counts)
+        rest = length - used  # split between the last two symbols
+        for k in range(rest + 1):
+            m = fact[length] // (d * fact[k] * fact[rest - k])
+            counts[(s + (q - 2) * k + (q - 1) * (rest - k)) % g][m] += count
+    return tuple(map(dict, counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,36 +265,64 @@ def _chain_weights(chains: GoodChains, m: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _chain_totals(profile: dict[int, int], length: int) -> tuple[int, ...]:
-    # F_j = sum of count(m) phi_j(m); unrolled, F_j = sum over i < j of
-    # P_i F_(j-1-i) with moments P_i = sum of count(m) (-m)^i.
-    ms = list(profile)
-    powers = [profile[m] for m in ms]
-    moments = []
+def _chain_totals(
+    profiles: dict[int, dict[int, int]], length: int, scale: tuple[int, int]
+) -> dict[int, tuple[int, ...]]:
+    """F_0..F_length for each profile (m -> compositions, each composition
+    standing for m * scale[0] / scale[1] columns).
+
+    F_j = sum of count(m) phi_j(m); unrolled, F_j = sum over i < j of
+    P_i F_(j-1-i) with moments P_i = sum of count(m) (-m)^i. The powers of
+    each m are shared by the profiles, and the compositions per m are small
+    counts, so each profile only adds up powers.
+    """
+    ms = sorted(set().union(*profiles.values()))
+    where = {m: i for i, m in enumerate(ms)}
+    groups = {}
+    for rep, profile in profiles.items():
+        by_count = defaultdict(list)
+        for m, n in profile.items():
+            by_count[n].append(where[m])
+        groups[rep] = list(by_count.items())
+    powers = ms[:]  # m ** (i + 1)
+    moments: dict[int, list[int]] = {rep: [] for rep in profiles}
     for i in range(length):
-        moments.append(sum(powers) * (-1) ** i)
+        for rep, grouped in groups.items():
+            total = sum(n * sum(map(powers.__getitem__, idx)) for n, idx in grouped)
+            moments[rep].append(total * scale[0] // scale[1] * (-1) ** i)
         if i + 1 < length:
             powers = list(map(operator.mul, powers, ms))
-    totals = [1]
-    for j in range(1, length + 1):
-        totals.append(sum(map(operator.mul, moments[:j], reversed(totals))))
-    return tuple(totals)
+    out = {}
+    for rep, p in moments.items():
+        totals = [1]
+        for j in range(1, length + 1):
+            totals.append(sum(map(operator.mul, p[:j], reversed(totals))))
+        out[rep] = tuple(totals)
+    return out
 
 
 def good_chains(
     rows: int, q: int, length: int, by_sum: bool = False, state_cap: int = DEFAULT_STATE_CAP
 ) -> tuple[GoodChains, ...]:
-    """Good-sequence counts up to the given length, over the columns of
-    _column_profile(rows, q, by_sum): one entry, or with by_sum one per
-    residue s mod gcd(rows, q) for the columns with sum c == s.
+    """Good-sequence counts up to the given length over the columns of rows
+    cells: one entry for all q**rows columns, or with by_sum one per residue
+    s mod g = gcd(rows, q), over the columns whose sum is c (mod q), for any
+    c == s (mod g).
 
-    Multiplying every entry by a unit of Z_q also permutes the symbols, so
-    residues with the same gcd with g share one entry.
+    Adding a constant to every entry permutes the symbols, so keeps m, and
+    moves the sum by a multiple of rows; so the counts depend on c only
+    modulo g, and each of the q / g residues c == s holds g / q of the
+    columns with sum s mod g. Multiplying every entry by a unit of Z_q also
+    permutes the symbols, so residues with the same gcd with g share one
+    entry.
     """
-    profiles = _column_profile(rows, q, by_sum, state_cap)
-    g = len(profiles)
+    g = math.gcd(rows, q) if by_sum else 1
+    profiles = _column_profile(rows, q, g, state_cap)
     reps = [math.gcd(s, g) % g for s in range(g)]
-    shared = {rep: GoodChains(_chain_totals(profiles[rep], length)) for rep in set(reps)}
+    totals = _chain_totals(
+        {rep: profiles[rep] for rep in set(reps)}, length, (g, q) if by_sum else (1, 1)
+    )
+    shared = {rep: GoodChains(t) for rep, t in totals.items()}
     return tuple(shared[rep] for rep in reps)
 
 
