@@ -248,12 +248,19 @@ class GoodChains:
         return _chain_weights(self, _arrangements(composition))
 
 
+def _multinomial(parts) -> int:
+    """(sum of parts)! / (product of part!): the number of arrangements of
+    a sequence with the given symbol counts."""
+    parts = list(parts)
+    m = math.factorial(sum(parts))
+    for part in parts:
+        m //= math.factorial(part)
+    return m
+
+
 @functools.lru_cache(maxsize=4096)
 def _arrangements(composition: tuple[int, ...]) -> int:
-    m = math.factorial(len(composition))
-    for run in Counter(composition).values():
-        m //= math.factorial(run)
-    return m
+    return _multinomial(Counter(composition).values())
 
 
 # Bounded: at 72 rows over 4 symbols one entry holds about 47 kB.
@@ -272,28 +279,26 @@ def _chain_totals(
     standing for m * scale[0] / scale[1] columns).
 
     F_j = sum of count(m) phi_j(m); unrolled, F_j = sum over i < j of
-    P_i F_(j-1-i) with moments P_i = sum of count(m) (-m)^i. The powers of
-    each m are shared by the profiles, and the compositions per m are small
-    counts, so each profile only adds up powers.
+    P_i F_(j-1-i) with moments P_i = sum of count(m) (-m)^i. The multinomials
+    are grouped by their counts in every profile, so each power of m is
+    computed and added up once; the profiles then weight the few group sums.
     """
-    ms = sorted(set().union(*profiles.values()))
-    where = {m: i for i, m in enumerate(ms)}
-    groups = {}
-    for rep, profile in profiles.items():
-        by_count = defaultdict(list)
-        for m, n in profile.items():
-            by_count[n].append(where[m])
-        groups[rep] = list(by_count.items())
-    powers = ms[:]  # m ** (i + 1)
-    moments: dict[int, list[int]] = {rep: [] for rep in profiles}
+    reps = list(profiles)
+    groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for m in set().union(*profiles.values()):
+        groups[tuple(profiles[rep].get(m, 0) for rep in reps)].append(m)
+    counts, bases = list(groups), list(groups.values())
+    powers = bases  # m ** (i + 1), per group
+    moments: list[list[int]] = [[] for _ in reps]
     for i in range(length):
-        for rep, grouped in groups.items():
-            total = sum(n * sum(map(powers.__getitem__, idx)) for n, idx in grouped)
-            moments[rep].append(total * scale[0] // scale[1] * (-1) ** i)
+        sums = [sum(group) for group in powers]
+        for k, p in enumerate(moments):
+            total = sum(count[k] * s for count, s in zip(counts, sums))
+            p.append(total * scale[0] // scale[1] * (-1) ** i)
         if i + 1 < length:
-            powers = list(map(operator.mul, powers, ms))
+            powers = [list(map(operator.mul, power, ms)) for power, ms in zip(powers, bases)]
     out = {}
-    for rep, p in moments.items():
+    for rep, p in zip(reps, moments):
         totals = [1]
         for j in range(1, length + 1):
             totals.append(sum(map(operator.mul, p[:j], reversed(totals))))
@@ -417,9 +422,7 @@ def max_constant_composition_class(n: int, q: int) -> int:
     if n < 0 or q < 1:
         raise InvalidParameterError("need n >= 0 and q >= 1")
     base, extra = divmod(n, q)
-    return math.factorial(n) // (
-        math.factorial(base + 1) ** extra * math.factorial(base) ** (q - extra)
-    )
+    return _multinomial([base + 1] * extra + [base] * (q - extra))
 
 
 def caro_wei_witness(

@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .bounds import good_chains
+from .bounds import DEFAULT_STATE_CAP, good_chains
 from .code_c1 import c1_syndromes
 from .code_c2 import c2_syndromes, default_band_height
 from .code_c3 import c3_syndromes
@@ -238,45 +238,70 @@ def _places(q: int, count: int) -> list[int]:
     return [q ** (count - 1 - i) for i in range(count)]
 
 
-class _GoodRule:
-    """Adjacent columns have distinct compositions.
+# The good chain's weights for one multinomial are `length` integers, the
+# j-th below q**(n*j), so about length**2 * n * log2(q) / 2 bits. Past
+# CHAIN_WEIGHT_BITS for length**2 * n * log2(q), or past
+# bounds.DEFAULT_STATE_CAP column compositions, the good rule draws
+# unweighted columns instead.
+CHAIN_WEIGHT_BITS = 1 << 20
 
-    A column is drawn uniform (in its sum class), redrawn if its composition
-    is its left neighbour's, and kept with probability phi_k(m) / F_(k-1),
-    where k counts it and the chain columns after it (bounds.GoodChains). So
-    each column is drawn in proportion to the number of ways to finish the
-    chain after it, and every good chain is equally likely. Sum classes are
-    picked in proportion to their chain totals F_L.
+
+def _uniform_class(rng: random.Random, rows: int, cols: int, q: int) -> tuple[int, int]:
+    return _sum_class(rows, cols, q, rng.randrange(_sum_class_count(rows, cols, q)))
+
+
+class _GoodRule:
+    """Adjacent columns of an n x n array have distinct compositions.
+
+    Weighted: a column is drawn uniform (in its sum class), redrawn if its
+    composition is its left neighbour's, and kept with probability
+    phi_k(m) / F_(k-1), where k counts it and the chain columns after it
+    (bounds.GoodChains). So each column is drawn in proportion to the number
+    of ways to finish the chain after it, and every good chain is equally
+    likely. A sum class (r, c) is picked in proportion to its chain total
+    F_L, which depends on c mod g = gcd(n, q) only, and each residue holds q
+    classes: the residue by its total, then one of its classes uniformly.
+
+    Unweighted, when the shape alone shows the tables to be too large
+    (more than DEFAULT_STATE_CAP compositions or CHAIN_WEIGHT_BITS bits per
+    weight tuple): the class and the columns are uniform, and a proposal is
+    dropped at the first column whose composition is its left neighbour's.
+    That is whole-array rejection, stopped early, and exact since every sum
+    class has q**((n-1)**2) members.
     """
 
     name = "adjacent column compositions equal"
 
-    def __init__(self, rows: int, cols: int, q: int, uniform_sums: bool):
-        self.q = q
-        # the free cells of a column; with a sum the last one is forced
-        self.places = _places(q, rows - 1 if uniform_sums else rows)
-        self.span = q ** len(self.places)
-        length = cols - 1 if uniform_sums else cols
-        self.chains = good_chains(rows, q, length, by_sum=uniform_sums)
-        if uniform_sums:
-            count = _sum_class_count(rows, cols, q)
-            self.classes = [_sum_class(rows, cols, q, k) for k in range(count)]
-            g = len(self.chains)
-            self.cumulative = list(
-                itertools.accumulate(self.chains[c % g].totals[-1] for _, c in self.classes)
-            )
-            total = self.cumulative[-1]
-        else:
-            total = self.chains[0].totals[-1]
-        self.empty = None if total else "no sum class has a good chain of columns"
+    def __init__(self, n: int, q: int, uniform_sums: bool):
+        self.n, self.q = n, q
+        # with a sum, the last cell of each column and the last column are forced
+        free = length = n - 1 if uniform_sums else n
+        self.places = _places(q, free)
+        self.span = q**free
+        self.chains = self.empty = None
+        bits = length * length * n * math.log2(q)
+        if math.comb(n + q - 1, q - 1) > DEFAULT_STATE_CAP or bits > CHAIN_WEIGHT_BITS:
+            return
+        self.chains = good_chains(n, q, length, by_sum=uniform_sums)
+        self.cumulative = list(itertools.accumulate(ch.totals[-1] for ch in self.chains))
+        if not self.cumulative[-1]:
+            self.empty = "no sum class has a good chain of columns"
 
     def pick_class(self, rng: random.Random) -> tuple[int, int]:
-        k = bisect.bisect_right(self.cumulative, rng.randrange(self.cumulative[-1]))
-        return self.classes[k]
+        n, q = self.n, self.q
+        if self.chains is None:
+            return _uniform_class(rng, n, n, q)
+        at, k = divmod(rng.randrange(self.cumulative[-1] * q), q)
+        g = len(self.chains)
+        step = q // g
+        # n*r == n*c (mod q) exactly when r == c (mod q / g)
+        c = bisect.bisect_right(self.cumulative, at) + g * (k // g)
+        return c % step + step * (k % g), c
 
     def draw(self, rng: random.Random, c: int | None, prev, depth: int):
-        chains = self.chains[0 if c is None else c % len(self.chains)]
-        total = chains.totals[depth - 1]
+        if self.chains is not None:
+            chains = self.chains[0 if c is None else c % len(self.chains)]
+            total = chains.totals[depth - 1]
         q, places = self.q, self.places
         while True:
             v = rng.randrange(self.span)
@@ -284,6 +309,8 @@ class _GoodRule:
             if c is not None:
                 col.append((c - sum(col)) % q)
             key = tuple(sorted(col))
+            if self.chains is None:
+                return (None, None) if key == prev else (col, key)
             if key != prev and rng.randrange(total) < chains.weights(key)[depth]:
                 return col, key
 
@@ -324,15 +351,14 @@ class _BandRule:
             for j in range(4)
         )
         self.empty = None
-        if uniform_sums and cols > 2 and successors == 0:
+        if uniform_sums and successors == 0:
             self.empty = (
                 f"no column with a fixed sum differs from its left neighbour in "
                 f"all three bands of height {l} ({rows} rows, q={q})"
             )
 
     def pick_class(self, rng: random.Random) -> tuple[int, int]:
-        k = rng.randrange(_sum_class_count(self.rows, self.cols, self.q))
-        return _sum_class(self.rows, self.cols, self.q, k)
+        return _uniform_class(rng, self.rows, self.cols, self.q)
 
     def draw(self, rng: random.Random, c: int | None, prev, depth: int):
         q = self.q
@@ -380,6 +406,8 @@ def _propose(rng, cols, q, rule, uniform_sums, column_runs):
     for j in range(cols):
         if j < length:
             col, state = rule.draw(rng, c, state, length - j)
+            if col is None:
+                return rule.name
         else:
             col = _forced_column(columns, r, q)
             if not rule.admits(state, col):
@@ -448,12 +476,11 @@ def sample_good(
 
     Uniform over the good arrays of the shape, or with uniform_sums over the
     good arrays whose row sums and column sums are each constant (mod q).
-    The chain weights group the column compositions by multinomial
-    (bounds.good_chains): CapacityError when that needs more than
-    bounds.DEFAULT_STATE_CAP states.
+    Columns are drawn left to right, weighted by the good chains of
+    bounds.good_chains where those tables are small (see _GoodRule).
     """
     return _chain_sample(
-        rng, n, n, q, _good_rule(n, n, q, uniform_sums), [], budget, uniform_sums,
+        rng, n, n, q, _good_rule(n, q, uniform_sums), [], budget, uniform_sums,
         "a good array",
     )
 

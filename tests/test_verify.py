@@ -28,6 +28,7 @@ from crisscross.errors import (
     NotACodewordError,
     SamplingError,
 )
+from crisscross import verify
 from crisscross.reprs import is_good, is_l_valid, is_l_weakly_valid, rows_are_distinct
 from crisscross.verify import (
     TrialConfig,
@@ -262,10 +263,23 @@ def test_uniform_sum_draws_match_a_choice_from_the_class_list():
 
 def test_uniform_sum_draw_with_a_huge_alphabet_is_quick():
     q = 10**6
+    for draw in [
+        lambda: sample_weakly_valid(4, 4, q, 1, random.Random(4), uniform_sums=True),
+        lambda: sample_good(4, q, random.Random(4), uniform_sums=True),
+    ]:
+        start = time.perf_counter()
+        x = draw()
+        assert time.perf_counter() - start < 0.5
+        assert len(set(x.row_sums())) == 1 and len(set(x.col_sums())) == 1
+
+
+def test_good_draw_past_the_table_cap_is_quick():
+    # 30 rows over 30 symbols have too many compositions for the chain
+    # tables, so the columns are drawn unweighted
     start = time.perf_counter()
-    x = sample_weakly_valid(4, 4, q, 1, random.Random(4), uniform_sums=True)
+    x = sample_good(30, 30, random.Random(7), uniform_sums=True)
     assert time.perf_counter() - start < 0.5
-    assert len(set(x.row_sums())) == 1 and len(set(x.col_sums())) == 1
+    assert is_good(x) and len(set(x.row_sums())) == 1 and len(set(x.col_sums())) == 1
 
 
 def _uniform_sum_members(rows, cols, q, r, c):
@@ -355,10 +369,36 @@ def test_plain_good_chain_is_exact():
     assert _chi_square(kept, support, draws) < _chi_square_bound(support)
 
 
+@pytest.mark.parametrize("uniform_sums, seed", [(True, 45), (False, 46)])
+def test_unweighted_good_chain_is_exact(monkeypatch, uniform_sums, seed):
+    # with no room for weight tables the good rule draws unweighted columns
+    monkeypatch.setattr(verify, "CHAIN_WEIGHT_BITS", 0)
+    _good_rule.cache_clear()
+    try:
+        assert _good_rule(3, 3, uniform_sums).chains is None
+        if uniform_sums:
+            support = _uniform_sum_support(3, 3, 3, is_good)
+        else:
+            support = [x.cells for x in enumerate_arrays(3, 3, 2) if is_good(x)]
+        q = 3 if uniform_sums else 2
+        rng = random.Random(seed)
+        draws = 20 * len(support)
+        kept = Counter(
+            sample_good(3, q, rng, uniform_sums=uniform_sums).cells for _ in range(draws)
+        )
+        assert _chi_square(kept, support, draws) < _chi_square_bound(support)
+    finally:
+        _good_rule.cache_clear()
+
+
 def test_good_chains_are_quick():
     start = time.perf_counter()
     assert is_good(sample_good(64, 2, random.Random(5), uniform_sums=True))
     assert time.perf_counter() - start < 1.0
+
+
+def test_cold_good_chain_tables_are_quick():
+    # 67,525 compositions of 72 cells over 4 symbols, grouped by multinomial
     _good_rule.cache_clear()
     start = time.perf_counter()
     x = sample_good(72, 4, random.Random(6), uniform_sums=True)
@@ -372,6 +412,8 @@ def test_empty_chains_are_refused_before_sampling():
     start = time.perf_counter()
     with pytest.raises(SamplingError, match="all three bands"):
         sample_weakly_valid(3, 4, 2, 1, random.Random(0), uniform_sums=True)
+    with pytest.raises(SamplingError, match="all three bands"):
+        sample_weakly_valid(3, 2, 2, 1, random.Random(0), uniform_sums=True)
     with pytest.raises(SamplingError, match="all three bands"):
         sample_valid(3, 5, 2, 1, random.Random(0), uniform_sums=True, budget=10**9)
     assert time.perf_counter() - start < 0.5
