@@ -339,7 +339,10 @@ def test_uniform_sum_good_draws_are_uniform():
     assert _chi_square(kept, good, 1200) < 25
 
 
-@pytest.mark.parametrize("n, q, size, seed", [(3, 3, 282, 41), (4, 2, 250, 42)])
+# 2x2 q=6: classes are picked by c mod gcd(n, q) = 2, then among 6 each
+@pytest.mark.parametrize(
+    "n, q, size, seed", [(3, 3, 282, 41), (4, 2, 250, 42), (2, 6, 30, 47)]
+)
 def test_uniform_sum_good_chain_is_exact(n, q, size, seed):
     support = _uniform_sum_support(n, n, q, is_good)
     assert len(support) == size
