@@ -13,8 +13,6 @@ from .core_array import (
     Array2D,
     DEFAULT_ENUMERATION_CAP,
     enumerate_arrays,
-    move_last_col_to,
-    move_last_row_to,
     require_shape,
 )
 from .errors import (
@@ -23,10 +21,10 @@ from .errors import (
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import comp_rank, signature_syndrome, vt_decode_known_symbol
+from .onedim import comp_rank, composition, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
 from .reprs import ccr, rir
-from .scan import ScanContext, column_rank_screen, complete_array, scan_verdict
+from .scan import ScanContext, column_rank_screen, scan_verdict
 
 
 @dataclass(frozen=True)
@@ -128,18 +126,21 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
 
 def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     n = p.n
-    x2 = complete_array(y, p.a[0], p.full_b[0])
-    ranks = tuple(map(comp_rank, ccr(x2)))
+    ctx = ScanContext(y, p.a, p.full_b)
+    # With uniform sums the candidate of hypothesis (n, n) completes y, the
+    # deleted row and column last, whatever the deleted positions.
+    cols = zip(*ctx.candidate_rows(n, n))
+    ranks = tuple(comp_rank(composition(col, p.q)) for col in cols)
     _, col_run = vt_decode_known_symbol(ranks[:-1], ranks[-1], p.c, n)
     if col_run[0] != col_run[1]:
         raise CodePropertyError(
             "composition run longer than one contradicts adjacent-distinct columns"
         )
     j = col_run[0]
-    x1 = move_last_col_to(x2, j)
-    ints = rir(x1)
-    _, row_run = vt_decode_known_symbol(ints[:-1], ints[-1], p.d, n)
-    x = move_last_row_to(x1, row_run[0])
+    # Rows share one length and the alphabet, so tuple order is rir order.
+    rows = ctx.candidate_rows(n, j)
+    _, row_run = vt_decode_known_symbol(rows[:-1], rows[-1], p.d, n)
+    x = ctx.assemble(row_run[0], j)
     if not c1_check(x, p):
         raise NotACodewordError("completed array fails the class constraints")
     return DecodeOutcome(array=x, row_interval=row_run, col_interval=(j, j), path="fast")
@@ -151,7 +152,7 @@ def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
     for i_hyp, j_hyp, distinct in column_rank_screen(ctx, p.c):
         if not distinct:
             continue
-        rows = ctx.candidate_rows(i_hyp, j_hyp, *ctx.forced_insertions(i_hyp, j_hyp))
+        rows = ctx.candidate_rows(i_hyp, j_hyp)
         # Rows share one length and the alphabet, so tuple order is rir order.
         if signature_syndrome(rows, p.n) != p.d:
             continue

@@ -10,24 +10,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_array import Array2D, move_last_col_to, move_last_row_to, require_shape
+from .core_array import Array2D, require_shape
 from .errors import (
     CodePropertyError,
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import comp_rank, signature_syndrome, vt_decode_known_symbol
+from .onedim import comp_rank, composition, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import ccr, is_l_weakly_valid, no_triple_runs, rcr, rir, rows_are_distinct
+from .reprs import ccr, is_l_weakly_valid, no_triple_runs, rcr, rows_are_distinct
 from .scan import (
     ScanContext,
-    band_rows,
     column_rank_screen,
-    column_int,
-    complete_array,
-    disjoint_band,
     parity_bits,
-    resolve_by_parity,
+    resolve_deletion,
     row_rank_screen,
     scan_verdict,
 )
@@ -140,38 +136,33 @@ def c2_check(x: Array2D, p: C2Params) -> bool:
 
 @dataclass(frozen=True)
 class IntervalLocation:
-    """Output of the interval stage: candidate deletion ranges plus the
-    completed array whose last row/column hold the deleted ones."""
+    """Output of the interval stage: candidate deletion ranges."""
 
     row_interval: tuple[int, int]
     col_interval: tuple[int, int]
-    completed: Array2D
 
 
 def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     """Bracket the deleted column and row into runs of length at most two.
 
-    Requires uniform sums (the direct completion is only well defined then).
-    Run lengths above two contradict the no-triple-composition conditions.
+    Requires uniform sums, under which the candidate of hypothesis (rows,
+    cols) completes the minor whatever the deleted positions. Run lengths
+    above two contradict the no-triple-composition conditions.
     """
     if not p.uniform:
         raise InvalidParameterError("interval location requires uniform sums")
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
-    x2 = complete_array(y, p.a[0], p.full_b[0])
-    col_obs = tuple(map(comp_rank, ccr(x2)))
+    rows = ScanContext(y, p.a, p.full_b).candidate_rows(p.rows, p.cols)
+    col_obs = tuple(comp_rank(composition(col, p.q)) for col in zip(*rows))
     _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
-    row_obs = tuple(map(comp_rank, rcr(x2)))
+    row_obs = tuple(comp_rank(composition(row, p.q)) for row in rows)
     _, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
     for run in (col_run, row_run):
         if run[1] - run[0] > 1:
             raise CodePropertyError(
                 "composition run longer than two contradicts the class structure"
             )
-    return IntervalLocation(
-        row_interval=row_run,
-        col_interval=col_run,
-        completed=x2,
-    )
+    return IntervalLocation(row_interval=row_run, col_interval=col_run)
 
 
 def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
@@ -194,31 +185,15 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
 
 def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
     loc = c2_locate_intervals(y, p)
-    x2 = loc.completed
-    q, l = p.q, p.l
-
-    col_cands = list(range(loc.col_interval[0], loc.col_interval[1] + 1))
-    if len(col_cands) == 1:
-        j, col_exact = col_cands[0], True
-    else:
-        k = disjoint_band(l, loc.row_interval)
-        band = band_rows(x2, k, l, loc.row_interval)
-        y_cir = tuple(column_int(band, t, q) for t in range(p.cols - 1))
-        missing = column_int(band, p.cols - 1, q)
-        j, col_exact = resolve_by_parity(y_cir, missing, col_cands, p.d[k - 1], "column")
-    x1 = move_last_col_to(x2, j)
-
-    row_cands = list(range(loc.row_interval[0], loc.row_interval[1] + 1))
-    ints = rir(x1)
-    i, row_exact = resolve_by_parity(ints[:-1], ints[-1], row_cands, p.d[3], "row")
-    x = move_last_row_to(x1, i)
-
+    x, i, j = resolve_deletion(
+        ScanContext(y, p.a, p.full_b), p.l, p.d, loc.row_interval, loc.col_interval
+    )
     if not c2_check(x, p):
         raise NotACodewordError("completed array fails the class constraints")
     return DecodeOutcome(
         array=x,
-        row_interval=(i, i) if row_exact else tuple(loc.row_interval),
-        col_interval=(j, j) if col_exact else tuple(loc.col_interval),
+        row_interval=loc.row_interval if i is None else (i, i),
+        col_interval=loc.col_interval if j is None else (j, j),
         path="fast",
     )
 
@@ -230,7 +205,7 @@ def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
     for i_hyp, j_hyp, _ in column_rank_screen(ctx, p.c[0]):
         if (i_hyp, j_hyp) not in row_hits:
             continue
-        cand = ctx.assemble(i_hyp, j_hyp, *ctx.forced_insertions(i_hyp, j_hyp))
+        cand = ctx.assemble(i_hyp, j_hyp)
         if c2_check(cand, p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")

@@ -26,23 +26,14 @@ from .core_array import (
     require_shape,
 )
 from .errors import (
-    AmbiguityError,
     CodePropertyError,
     InvalidParameterError,
     NotACodewordError,
     NotInstantiableError,
 )
-from .onedim import inversions
 from .outcome import DecodeOutcome
-from .reprs import is_l_valid, is_l_weakly_valid, rir, rows_are_distinct
-from .scan import (
-    ScanContext,
-    band_rows,
-    column_int,
-    disjoint_band,
-    parity_bits,
-    resolve_by_parity,
-)
+from .reprs import is_l_valid, is_l_weakly_valid, rows_are_distinct
+from .scan import ScanContext, parity_bits, resolve_deletion
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
 BitGrid = tuple[tuple[tuple[int, int, int, int], ...], ...]
@@ -183,58 +174,6 @@ def c3_check(x: Array2D, p: C3Params) -> bool:
     return c2_check(subs[0][0], p.anchor) and _fits_grids(subs, p)
 
 
-def _resolve_subarray(
-    y_sub: Array2D,
-    a: tuple[int, ...],
-    full_b: tuple[int, ...],
-    l: int,
-    d: tuple[int, int, int, int],
-    row_cands: list[int],
-    col_cands: list[int],
-) -> tuple[Array2D, int | None, int | None]:
-    """Finish one non-anchor subarray given <=2 candidates per axis.
-
-    Returns the restored subarray plus the resolved row and column indices
-    (None where a tie left the position open; the array is unique anyway).
-    """
-    q = y_sub.q
-    m_c = len(a)
-    ctx = ScanContext(y_sub, a, full_b)
-
-    if len(col_cands) == 1:
-        j, col_exact = col_cands[0], True
-    else:
-        # The chosen band avoids the row interval, so its rows read the same
-        # under either row hypothesis, making the column test independent.
-        interval = (row_cands[0], row_cands[-1])
-        k = disjoint_band(l, interval)
-        band = band_rows(y_sub, k, l, interval)
-        y_cir = tuple(column_int(band, t, q) for t in range(m_c - 1))
-        missing = 0
-        for r, row in enumerate(band, start=(k - 1) * l + 1):
-            missing = missing * q + (full_b[r - 1] - sum(row)) % q
-        j, col_exact = resolve_by_parity(y_cir, missing, col_cands, d[k - 1], "column")
-
-    matches: list[tuple[int, Array2D]] = []
-    for i in row_cands:
-        new_row, new_col = ctx.forced_insertions(i, j)
-        cand = ctx.assemble(i, j, new_row, new_col)
-        if inversions(rir(cand)) % 2 == d[3]:
-            matches.append((i, cand))
-    if not matches:
-        raise NotACodewordError("no row candidate matches the inversion parity")
-    if len({cand for _, cand in matches}) > 1:
-        raise AmbiguityError(
-            "two row hypotheses give distinct subarrays consistent with the class"
-        )
-    row_exact = len(matches) == 1
-    return (
-        matches[0][1],
-        matches[0][0] if row_exact else None,
-        j if col_exact else None,
-    )
-
-
 def _window_starts(
     positions: list[tuple[int, int]], t: int, n: int
 ) -> tuple[int, int]:
@@ -282,16 +221,12 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
     for s, u in itertools.product(range(1, p.t_r + 1), range(1, p.t_c + 1)):
         if (s, u) == (1, 1):
             continue
-        row_cands = [i_star] if s == 1 else [i for i in (i_star - 1, i_star) if i >= 1]
-        col_cands = [j_star] if u == 1 else [j for j in (j_star - 1, j_star) if j >= 1]
-        sub, i_res, j_res = _resolve_subarray(
-            y_subs[s - 1][u - 1],
-            p.a[s - 1][u - 1],
-            p.full_b(s, u),
+        sub, i_res, j_res = resolve_deletion(
+            ScanContext(y_subs[s - 1][u - 1], p.a[s - 1][u - 1], p.full_b(s, u)),
             p.l,
             p.d[s - 1][u - 1],
-            row_cands,
-            col_cands,
+            (i_star if s == 1 else max(i_star - 1, 1), i_star),
+            (j_star if u == 1 else max(j_star - 1, 1), j_star),
         )
         parts[s - 1][u - 1] = sub
         if i_res is not None:

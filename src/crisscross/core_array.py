@@ -164,23 +164,6 @@ def require_shape(x: Array2D, rows: int, cols: int, q: int, what: str) -> None:
         )
 
 
-def move_last_row_to(x: Array2D, i: int) -> Array2D:
-    """Reinsert the last row at position i, preserving the order of the rest."""
-    if not 1 <= i <= x.rows:
-        raise InvalidParameterError(f"row index {i} outside [1, {x.rows}]")
-    cells = x.cells
-    moved = cells[: i - 1] + (cells[-1],) + cells[i - 1:-1]
-    return Array2D(moved, x.q)
-
-
-def move_last_col_to(x: Array2D, j: int) -> Array2D:
-    """Reinsert the last column at position j, preserving the order of the rest."""
-    if not 1 <= j <= x.cols:
-        raise InvalidParameterError(f"column index {j} outside [1, {x.cols}]")
-    moved = tuple(row[: j - 1] + (row[-1],) + row[j - 1:-1] for row in x.cells)
-    return Array2D(moved, x.q)
-
-
 def _picker(size: int, drop):
     """Callable giving, as a tuple, the entries of a length-size sequence at
     the 0-based indices outside drop (at least one must remain)."""

@@ -16,8 +16,11 @@ class member:
    that row_rank_screen, filter 1 run once on the transposed minor, passes.
 3. The full membership check, on the candidates that pass both.
 
-Fast paths: completion of a minor under uniform sums, and resolution of a
-two-candidate deletion position by band and row inversion parities.
+Fast paths: with uniform sums the candidate of hypothesis (rows, cols) is
+the minor's completion, whose composition syndromes bracket the deleted
+column and row. resolve_deletion settles a bracket of at most two positions
+per axis by band and row inversion parities, for c2's fast path and for each
+residue subarray of c3; it needs no uniform sums.
 """
 from __future__ import annotations
 
@@ -29,7 +32,8 @@ from .reprs import rir
 
 
 class ScanContext:
-    """Per-decode cache of the received minor's column and row sums."""
+    """The received minor with its column and row sums, from which the sums
+    of the class force the candidate array of every deletion hypothesis."""
 
     def __init__(self, y: Array2D, a: tuple[int, ...], full_b: tuple[int, ...]):
         rows, cols = len(full_b), len(a)
@@ -38,47 +42,39 @@ class ScanContext:
                 f"received shape {y.rows}x{y.cols} does not match a single "
                 f"criss-cross deletion from {rows}x{cols}"
             )
-        self.q = y.q
+        q = self.q = y.q
         self.rows, self.cols = rows, cols
-        self.a, self.full_b = a, full_b
+        self.full_b = full_b
         self.cells = y.cells
-        self.y_col_sums = tuple(sum(col) for col in zip(*y.cells))
-        self.y_row_sums = tuple(sum(row) for row in y.cells)
+        col_sums = [sum(col) for col in zip(*y.cells)]
+        row_sums = [sum(row) for row in y.cells]
+        # Forced symbol of each minor column (row): where it keeps its index,
+        # left of (above) the deleted one, and where it moves one on, right
+        # of (below) it.
+        self.left = [(t - s) % q for t, s in zip(a, col_sums)]
+        self.right = [(t - s) % q for t, s in zip(a[1:], col_sums)]
+        self.up = [(t - s) % q for t, s in zip(full_b, row_sums)]
+        self.down = [(t - s) % q for t, s in zip(full_b[1:], row_sums)]
 
     def forced_insertions(self, i_hyp: int, j_hyp: int):
         """Row and column contents forced by the sums under hypothesis (i_hyp, j_hyp)."""
-        q, rows, cols = self.q, self.rows, self.cols
-        new_row = [0] * cols
-        for k in range(1, cols + 1):
-            if k == j_hyp:
-                continue
-            new_row[k - 1] = (self.a[k - 1] - self.y_col_sums[k - 1 if k < j_hyp else k - 2]) % q
-        corner = (self.full_b[i_hyp - 1] - sum(new_row)) % q
-        new_row[j_hyp - 1] = corner
-        new_col = [0] * rows
-        for k in range(1, rows + 1):
-            if k == i_hyp:
-                continue
-            new_col[k - 1] = (self.full_b[k - 1] - self.y_row_sums[k - 1 if k < i_hyp else k - 2]) % q
-        new_col[i_hyp - 1] = corner
-        return tuple(new_row), tuple(new_col)
+        left, right = self.left[: j_hyp - 1], self.right[j_hyp - 1:]
+        corner = (self.full_b[i_hyp - 1] - sum(left) - sum(right)) % self.q
+        new_col = self.up[: i_hyp - 1] + [corner] + self.down[i_hyp - 1:]
+        return tuple(left + [corner] + right), tuple(new_col)
 
-    def candidate_rows(self, i_hyp: int, j_hyp: int, new_row, new_col):
-        """Row tuples of the candidate array for hypothesis (i_hyp, j_hyp)."""
-        out = []
-        yi = 0
-        for r in range(1, self.rows + 1):
-            if r == i_hyp:
-                out.append(new_row)
-            else:
-                yrow = self.cells[yi]
-                yi += 1
-                out.append(yrow[: j_hyp - 1] + (new_col[r - 1],) + yrow[j_hyp - 1:])
+    def candidate_rows(self, i_hyp: int, j_hyp: int):
+        """Row tuples of the candidate array for hypothesis (i_hyp, j_hyp): the
+        minor with the forced row and column inserted as row i_hyp and column j_hyp."""
+        new_row, new_col = self.forced_insertions(i_hyp, j_hyp)
+        digits = new_col[: i_hyp - 1] + new_col[i_hyp:]
+        out = [row[: j_hyp - 1] + (v,) + row[j_hyp - 1:] for row, v in zip(self.cells, digits)]
+        out.insert(i_hyp - 1, new_row)
         return tuple(out)
 
-    def assemble(self, i_hyp: int, j_hyp: int, new_row, new_col) -> Array2D:
+    def assemble(self, i_hyp: int, j_hyp: int) -> Array2D:
         """Materialize the candidate array for hypothesis (i_hyp, j_hyp)."""
-        return Array2D(self.candidate_rows(i_hyp, j_hyp, new_row, new_col), self.q)
+        return Array2D(self.candidate_rows(i_hyp, j_hyp), self.q)
 
 
 def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bool]]:
@@ -96,8 +92,7 @@ def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bo
     corner; its counts are kept incrementally over i and each corner value is
     ranked once per i.
     """
-    q, rows, cols = ctx.q, ctx.rows, ctx.cols
-    a, fb, col_sums, row_sums = ctx.a, ctx.full_b, ctx.y_col_sums, ctx.y_row_sums
+    q, rows, cols, fb = ctx.q, ctx.rows, ctx.cols, ctx.full_b
     y_comps = [composition(col, q) for col in zip(*ctx.cells)]
 
     def ranked(comp, v):
@@ -105,8 +100,8 @@ def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bo
 
     # Lists are indexed by 1-based candidate column k. Unused ends hold 0, or
     # -1 for ranks: a rank is never equal to -1 nor below it.
-    left = [0] + [(a[k - 1] - col_sums[k - 1]) % q for k in range(1, cols)] + [0]
-    right = [0, 0] + [(a[k - 1] - col_sums[k - 2]) % q for k in range(2, cols + 1)]
+    left = [0] + ctx.left + [0]
+    right = [0, 0] + ctx.right
     L = [-1] + [ranked(y_comps[k - 1], left[k]) for k in range(1, cols)] + [-1, -1]
     R = [-1, -1] + [ranked(y_comps[k - 2], right[k]) for k in range(2, cols + 1)] + [-1]
     asc_l = [t * (L[t + 1] >= L[t]) for t in range(cols)]
@@ -127,8 +122,8 @@ def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bo
 
     # Symbols of the inserted column off the corner: row k takes up[k] above
     # the deleted row and down[k] below it.
-    up = [0] + [(fb[k - 1] - row_sums[k - 1]) % q for k in range(1, rows)]
-    down = [0, 0] + [(fb[k - 1] - row_sums[k - 2]) % q for k in range(2, rows + 1)]
+    up = [0] + ctx.up
+    down = [0, 0] + ctx.down
     counts = [0] * q
     for v in down[2:]:
         counts[v] += 1
@@ -181,18 +176,6 @@ def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
     )
 
 
-def complete_array(y: Array2D, a_val: int, b_val: int) -> Array2D:
-    """Append the column and row forced by uniform sums (deleted ones shifted last)."""
-    q = y.q
-    bottom = [(a_val - sum(col)) % q for col in zip(*y.cells)]
-    right = [(b_val - sum(row)) % q for row in y.cells]
-    corner = (b_val - sum(bottom)) % q
-    cells = tuple(
-        row + (right[i],) for i, row in enumerate(y.cells)
-    ) + (tuple(bottom) + (corner,),)
-    return Array2D(cells, q)
-
-
 def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
     """Inversion parities of the three height-l bands' column integers, then of
     the row integers."""
@@ -213,16 +196,6 @@ def disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
     raise CodePropertyError("no band avoids the row interval")
 
 
-def band_rows(x: Array2D, k: int, l: int, row_interval: tuple[int, int]):
-    """Rows of band k as they sit in x, a minor or its completion.
-
-    Bands above the deleted row are unshifted; bands below it moved up one.
-    """
-    first, last = (k - 1) * l + 1, k * l
-    shift = 1 if first > row_interval[1] else 0
-    return [x.cells[r - 1 - shift] for r in range(first, last + 1)]
-
-
 def column_int(rows, j: int, q: int) -> int:
     """Base-q integer read down column j (0-based) of the given rows."""
     value = 0
@@ -231,18 +204,42 @@ def column_int(rows, j: int, q: int) -> int:
     return value
 
 
-def resolve_by_parity(seq, v, cands, parity_bit, what):
-    """Choose the insertion position of v among <=2 candidates by inversion parity."""
-    if len(cands) == 1:
-        return cands[0], True
-    first = seq[: cands[0] - 1] + (v,) + seq[cands[0] - 1:]
-    second = seq[: cands[1] - 1] + (v,) + seq[cands[1] - 1:]
-    if first == second:
-        return cands[0], False
-    matches = [
-        pos for pos, cand in zip(cands, (first, second))
-        if inversions(cand) % 2 == parity_bit
-    ]
+def resolve_deletion(
+    ctx: ScanContext,
+    l: int,
+    d: tuple[int, int, int, int],
+    row_interval: tuple[int, int],
+    col_interval: tuple[int, int],
+) -> tuple[Array2D, int | None, int | None]:
+    """Finish a deletion bracketed to at most two adjacent rows and columns by
+    the inversion parities d of the class (three bands, then row integers).
+
+    Returns the candidate array plus the resolved row and column indices
+    (None where a tie left the position open; the array is unique anyway).
+    """
+    (lo, hi), j = row_interval, col_interval[0]
+    col_exact = col_interval[1] == j
+    if not col_exact:
+        # A band that avoids the row interval reads the same under either row
+        # hypothesis, so its parity tests the column alone. Its column
+        # integers with the missing one at j + 1 are those with it at j but
+        # for one adjacent swap: equal entries tie, else one parity matches.
+        k = disjoint_band(l, row_interval)
+        band = ctx.candidate_rows(lo, j)[(k - 1) * l:k * l]
+        ints = [column_int(band, t, ctx.q) for t in range(ctx.cols)]
+        col_exact = ints[j - 1] != ints[j]
+        if col_exact and inversions(ints) % 2 != d[k - 1]:
+            j += 1
+
+    cands = [(i, ctx.assemble(i, j)) for i in range(lo, hi + 1)]
+    matches = [(i, cand) for i, cand in cands if inversions(rir(cand)) % 2 == d[3]]
     if not matches:
-        raise NotACodewordError(f"no {what} candidate matches the inversion parity")
-    return matches[0], True
+        raise NotACodewordError("no row candidate matches the inversion parity")
+    if len({cand for _, cand in matches}) > 1:
+        raise AmbiguityError("two row hypotheses give distinct arrays consistent with the class")
+    row_exact = len(matches) == 1
+    return (
+        matches[0][1],
+        matches[0][0] if row_exact else None,
+        j if col_exact else None,
+    )

@@ -524,12 +524,21 @@ def sample_valid(
     the other predicates are checked in order, so the sampling diagnostics
     name the dominant rejection cause.
     """
+    rule = _band_rule(rows, cols, q, l, uniform_sums)
+    if not rule.empty and q == 2 and l == 1 and (cols % 2 == 0 or uniform_sums):
+        # Binary unit bands are rows that alternate: at an even width all
+        # three have composition (cols/2, cols/2), and at an odd one equal
+        # row sums make them equal, so rows 1-3 are a composition run.
+        raise SamplingError(
+            f"cannot sample a band-valid array ({rows}x{cols}, q=2): rows 1-3 alternate"
+            f"{' with equal sums' if cols % 2 else ''}, so they share one composition"
+        )
     checks = [("row composition run of three", lambda x: no_triple_runs(rcr(x)))]
     if rows_distinct:
         checks.append(("equal consecutive rows", rows_are_distinct))
     return _chain_sample(
-        rng, rows, cols, q, _band_rule(rows, cols, q, l, uniform_sums), checks, budget,
-        uniform_sums, "a band-valid array", column_runs=True,
+        rng, rows, cols, q, rule, checks, budget, uniform_sums, "a band-valid array",
+        column_runs=True,
     )
 
 

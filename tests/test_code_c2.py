@@ -12,7 +12,13 @@ from crisscross.code_c2 import (
     c2_syndromes,
     default_band_height,
 )
-from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols, enumerate_arrays
+from crisscross.core_array import (
+    Array2D,
+    DeletionPattern,
+    delete_rows_cols,
+    deletion_brackets,
+    enumerate_arrays,
+)
 from crisscross.errors import (
     AmbiguityError,
     InvalidParameterError,
@@ -130,6 +136,30 @@ def test_locate_intervals_brackets_the_pattern():
     loc = c2_locate_intervals(y, p)
     assert loc.row_interval[0] <= 4 <= loc.row_interval[1]
     assert loc.col_interval[0] <= 2 <= loc.col_interval[1]
+
+
+def test_decode_never_returns_a_non_member_on_random_minors():
+    rng = random.Random(41)
+    x = sample_valid(9, 9, 3, 2, rng, uniform_sums=True)
+    p = c2_syndromes(x, 2)
+    returned = 0
+    for k in range(400):
+        y = delete_rows_cols(x, DeletionPattern((rng.randint(1, 9),), (rng.randint(1, 9),)))
+        if k % 2:  # one cell off a genuine minor
+            cells = [list(row) for row in y.cells]
+            cells[rng.randrange(8)][rng.randrange(8)] = rng.randrange(3)
+            y = Array2D(cells, 3)
+        if k % 4 == 3:  # no relation to the codeword at all
+            y = Array2D([[rng.randrange(3) for _ in range(8)] for _ in range(8)], 3)
+        for path in ("fast", "scan"):
+            try:
+                out = c2_decode(y, p, path=path)
+            except (AmbiguityError, NotACodewordError):
+                continue
+            assert c2_check(out.array, p)
+            assert deletion_brackets(out.array, y, 1, 1) is not None
+            returned += 1
+    assert returned >= 400  # the genuine minors on both paths at least
 
 
 def test_decode_failure_on_impossible_input():

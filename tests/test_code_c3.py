@@ -204,14 +204,14 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
     assert (code_c3._grids([[subs[0][0], tampered], subs[1]], 1) == (p.a, p.b, p.d)) == (
         broken == "weak validity"
     )
-    real = code_c3._resolve_subarray
+    real = code_c3.resolve_deletion
     calls = []
 
     def resolve(*args):
         calls.append(args)
         return (tampered, None, None) if len(calls) == 1 else real(*args)
 
-    monkeypatch.setattr(code_c3, "_resolve_subarray", resolve)
+    monkeypatch.setattr(code_c3, "resolve_deletion", resolve)
     y = delete_rows_cols(x, BurstPattern(3, 5, 2, 2))
     with pytest.raises(NotACodewordError, match="class constraints"):
         c3_decode(y, p)

@@ -3,6 +3,7 @@ scan decoders that agree with an unscreened scan over every hypothesis."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,16 @@ from hypothesis import strategies as st
 from crisscross.code_c1 import c1_check, c1_decode, c1_syndromes
 from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
 from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols
-from crisscross.errors import CrissCrossError
-from crisscross.onedim import comp_rank, composition, signature_syndrome
+from crisscross.errors import AmbiguityError, CrissCrossError, NotACodewordError
+from crisscross.onedim import comp_rank, composition, inversions, signature_syndrome
 from crisscross.reprs import ccr
-from crisscross.scan import ScanContext, column_rank_screen, row_rank_screen, scan_verdict
+from crisscross.scan import (
+    ScanContext,
+    column_rank_screen,
+    resolve_deletion,
+    row_rank_screen,
+    scan_verdict,
+)
 from crisscross.verify import sample_good, sample_valid
 
 
@@ -89,7 +96,7 @@ def test_rank_screens_match_per_hypothesis_brute_force(case):
     want = []
     for i, j, (new_row, new_col) in _hypotheses(ctx):
         if _reference_col_syndrome(ctx, j, new_row, new_col) == col_target:
-            comps = ccr(ctx.assemble(i, j, new_row, new_col))
+            comps = ccr(ctx.assemble(i, j))
             want.append((i, j, all(u != v for u, v in zip(comps, comps[1:]))))
     assert column_rank_screen(ctx, col_target) == want
     if family == "c2":
@@ -101,12 +108,60 @@ def test_rank_screens_match_per_hypothesis_brute_force(case):
         assert row_rank_screen(y, p.a, p.full_b, p.c[1]) == want_rows
 
 
+def test_last_hypothesis_completes_the_minor_under_uniform_sums():
+    rng = random.Random(17)
+    classes = [c1_syndromes(sample_good(n, q, rng, uniform_sums=True)) for n, q in ((5, 2), (6, 3))]
+    classes += [
+        c2_syndromes(sample_valid(rows, cols, q, l, rng, uniform_sums=True), l)
+        for rows, cols, q, l in ((6, 8, 3, 2), (7, 5, 2, 2))
+    ]
+    for p in classes:
+        rows, cols, q = len(p.full_b), len(p.a), p.q
+        for _ in range(20):
+            y = Array2D([[rng.randrange(q) for _ in range(cols - 1)] for _ in range(rows - 1)], q)
+            x = ScanContext(y, p.a, p.full_b).assemble(rows, cols)
+            assert tuple(row[:-1] for row in x.cells[:-1]) == y.cells
+            assert set(x.row_sums()) == {p.full_b[0]}
+            assert set(x.col_sums()) == {p.a[0]}
+
+
+def test_resolver_matches_parities_over_every_bracketed_candidate():
+    # 4x4 ternary candidates, unit bands, the deletion bracketed to rows 2-3
+    # (band 1 avoids them) and columns 2-3, under arbitrary sums and parities
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(600):
+        y = Array2D([[rng.randrange(3) for _ in range(3)] for _ in range(3)], 3)
+        a, full_b = (tuple(rng.randrange(3) for _ in range(4)) for _ in range(2))
+        d = tuple(rng.randrange(2) for _ in range(4))
+        ctx = ScanContext(y, a, full_b)
+        band = {j: ctx.assemble(2, j).cells[0] for j in (2, 3)}
+        col_tie = band[2] == band[3]
+        j = 2 if col_tie else next(j for j in (2, 3) if inversions(band[j]) % 2 == d[0])
+        cands = {i: ctx.assemble(i, j) for i in (2, 3)}
+        matches = [(i, x) for i, x in cands.items() if inversions(x.cells) % 2 == d[3]]
+        try:
+            got = resolve_deletion(ctx, 1, d, (2, 3), (2, 3))
+        except NotACodewordError:
+            seen["none"] += 1
+            assert not matches
+            continue
+        except AmbiguityError:
+            seen["ambiguous"] += 1
+            assert len({x for _, x in matches}) == 2
+            continue
+        row_tie = len(matches) == 2
+        seen["row tie" if row_tie else "col tie" if col_tie else "exact"] += 1
+        assert got == (matches[0][1], None if row_tie else matches[0][0], None if col_tie else j)
+    assert min(seen.values()) >= 5 and len(seen) == 5, seen
+
+
 def _reference_scan(y, p, check):
     """Every hypothesis through the full membership check, no screen."""
     ctx = ScanContext(y, p.a, p.full_b)
     survivors = {}
-    for i, j, (new_row, new_col) in _hypotheses(ctx):
-        cand = ctx.assemble(i, j, new_row, new_col)
+    for i, j, _ in _hypotheses(ctx):
+        cand = ctx.assemble(i, j)
         if check(cand, p):
             survivors.setdefault(cand, []).append((i, j))
     return scan_verdict(survivors, "scan")

@@ -419,6 +419,12 @@ def test_empty_chains_are_refused_before_sampling():
         sample_weakly_valid(3, 2, 2, 1, random.Random(0), uniform_sums=True)
     with pytest.raises(SamplingError, match="all three bands"):
         sample_valid(3, 5, 2, 1, random.Random(0), uniform_sums=True, budget=10**9)
+    # binary unit bands alternate, so rows 1-3 share a composition at an even
+    # width, and at an odd one too once the row sums are equal
+    for rows, cols, uniform_sums in ((3, 2, False), (5, 4, False), (4, 4, True), (4, 5, True)):
+        with pytest.raises(SamplingError, match="share one composition"):
+            sample_valid(rows, cols, 2, 1, random.Random(0), budget=10**5,
+                         uniform_sums=uniform_sums, rows_distinct=True)
     assert time.perf_counter() - start < 0.5
 
 
@@ -466,14 +472,15 @@ def test_samplers_meet_their_postconditions():
 
 
 def test_sampling_error_reports_rejection_diagnostics():
-    # binary arrays with band height 1 cannot be band-valid at n=4, so the
-    # budget always runs out
+    # about 4% of the chain's proposals are kept at this shape, and none of
+    # the first four with this seed
     rng = random.Random(0)
     with pytest.raises(SamplingError) as exc:
-        sample_valid(4, 4, 2, 1, rng, budget=64)
+        sample_valid(7, 7, 2, 2, rng, budget=4, uniform_sums=True)
     msg = str(exc.value)
-    assert "budget 64 exhausted" in msg
+    assert "budget 4 exhausted" in msg
     assert "rejections by first failing predicate" in msg
+    assert sample_valid(7, 7, 2, 2, rng, uniform_sums=True).rows == 7
 
 
 def test_sampler_shape_guard():
