@@ -23,7 +23,7 @@ from .errors import (
 )
 from .onedim import comp_rank, composition, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import ccr, rir
+from .reprs import ccr
 from .scan import ScanContext, column_rank_screen, scan_verdict
 
 
@@ -83,7 +83,8 @@ def _class_of(x: Array2D, comps, relaxed: bool) -> C1Params:
         a=x.col_sums(),
         b=b[: n - 1] if relaxed else b,
         c=signature_syndrome(tuple(map(comp_rank, comps)), n),
-        d=signature_syndrome(rir(x), n),
+        # Rows share one length and the alphabet, so tuple order is rir order.
+        d=signature_syndrome(x.cells, n),
         relaxed=relaxed,
     )
 

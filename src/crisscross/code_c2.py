@@ -149,10 +149,16 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     cols) completes the minor whatever the deleted positions. Run lengths
     above two contradict the no-triple-composition conditions.
     """
+    return _locate(y, p)[1]
+
+
+def _locate(y: Array2D, p: C2Params) -> tuple[ScanContext, IntervalLocation]:
+    """c2_locate_intervals, also returning the ScanContext it built."""
     if not p.uniform:
         raise InvalidParameterError("interval location requires uniform sums")
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
-    rows = ScanContext(y, p.a, p.full_b).candidate_rows(p.rows, p.cols)
+    ctx = ScanContext(y, p.a, p.full_b)
+    rows = ctx.candidate_rows(p.rows, p.cols)
     col_obs = tuple(comp_rank(composition(col, p.q)) for col in zip(*rows))
     _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
     row_obs = tuple(comp_rank(composition(row, p.q)) for row in rows)
@@ -162,7 +168,7 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
             raise CodePropertyError(
                 "composition run longer than two contradicts the class structure"
             )
-    return IntervalLocation(row_interval=row_run, col_interval=col_run)
+    return ctx, IntervalLocation(row_interval=row_run, col_interval=col_run)
 
 
 def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
@@ -184,10 +190,8 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
 
 
 def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
-    loc = c2_locate_intervals(y, p)
-    x, i, j = resolve_deletion(
-        ScanContext(y, p.a, p.full_b), p.l, p.d, loc.row_interval, loc.col_interval
-    )
+    ctx, loc = _locate(y, p)
+    x, i, j = resolve_deletion(ctx, p.l, p.d, loc.row_interval, loc.col_interval)
     if not c2_check(x, p):
         raise NotACodewordError("completed array fails the class constraints")
     return DecodeOutcome(

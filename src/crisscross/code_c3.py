@@ -123,13 +123,22 @@ def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[Array2D]]:
     ]
 
 
-def _grids(subs: list[list[Array2D]], l: int) -> tuple[SumGrid, SumGrid, BitGrid]:
+def _grids(
+    subs: list[list[Array2D]], l: int, anchor: C2Params | None = None
+) -> tuple[SumGrid, SumGrid, BitGrid]:
     """The (a, b, d) grids of the subarrays: column sums, all row sums but
-    the last, and parity bits."""
-    a = tuple(tuple(sub.col_sums() for sub in row) for row in subs)
-    b = tuple(tuple(sub.row_sums()[:-1] for sub in row) for row in subs)
-    d = tuple(tuple(parity_bits(sub, l) for sub in row) for row in subs)
-    return a, b, d
+    the last, and parity bits. The anchor slot is read off anchor, the
+    anchor subarray's c2 class, when it is given."""
+    slots = [
+        [
+            (sub.col_sums(), sub.row_sums()[:-1], parity_bits(sub, l))
+            if anchor is None or (s, u) != (0, 0)
+            else (anchor.a, anchor.b, anchor.d)
+            for u, sub in enumerate(row)
+        ]
+        for s, row in enumerate(subs)
+    ]
+    return tuple(tuple(tuple(slot[k] for slot in row) for row in slots) for k in range(3))
 
 
 def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
@@ -152,7 +161,7 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
             "anchor subarray is not band-valid with distinct consecutive rows"
         )
     anchor = c2_syndromes(head, l, rows_distinct=True)
-    a, b, d = _grids(subs, l)
+    a, b, d = _grids(subs, l, anchor)
     return C3Params(
         n=x.rows, q=x.q, t_r=t_r, t_c=t_c, l=l, anchor=anchor, a=a, b=b, d=d
     )

@@ -26,23 +26,28 @@ class Array2D:
         if q < 2:
             raise InvalidParameterError(f"alphabet size must be at least 2, got {q}")
         norm = tuple(map(tuple, cells))
-        # Clean input (rectangular, exact ints in range) passes these C-level
-        # scans as-is; anything else is normalised and checked cell by cell.
+        # Clean input (nonempty, rectangular, every cell an int in [0, q))
+        # passes C-level checks: for q <= 256 by packing the cells into bytes
+        # (see _packed_cells), for larger alphabets by scanning the cell types,
+        # min and max. Anything else is normalised and checked cell by cell,
+        # which names the first fault.
         flat = itertools.chain.from_iterable
-        if not (
-            norm
-            and norm[0]
-            and len(set(map(len, norm))) == 1
-            and set(map(type, flat(norm))) == {int}
-            and min(flat(norm)) >= 0
-            and max(flat(norm)) < q
-        ):
-            norm = _checked_cells(norm, q)
+        clean = None
+        if norm and norm[0] and len(set(map(len, norm))) == 1:
+            if q <= 256:
+                clean = _packed_cells(norm, q)
+            elif (
+                set(map(type, flat(norm))) == {int}
+                and min(flat(norm)) >= 0
+                and max(flat(norm)) < q
+            ):
+                clean = norm
+        cells = _checked_cells(norm, q) if clean is None else clean
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "cells", norm)
-        object.__setattr__(self, "rows", len(norm))
-        object.__setattr__(self, "cols", len(norm[0]))
-        object.__setattr__(self, "_hash", hash((q, norm)))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "rows", len(cells))
+        object.__setattr__(self, "cols", len(cells[0]))
+        object.__setattr__(self, "_hash", hash((q, cells)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Array2D is immutable")
@@ -80,6 +85,21 @@ class Array2D:
     def col_sums(self) -> tuple[int, ...]:
         q = self.q
         return tuple(sum(col) % q for col in zip(*self.cells))
+
+
+def _packed_cells(norm: tuple, q: int) -> tuple[tuple[int, ...], ...] | None:
+    """The rectangular cells norm rebuilt from their bytes, or None unless
+    every cell is an int in [0, q), for q <= 256. bytes() refuses anything
+    but ints in [0, 256), and deleting the q symbols must leave nothing. The
+    rows are cut back out of the bytes, so each cell is an exact int, as
+    int() would give."""
+    try:
+        packed = bytes(itertools.chain.from_iterable(norm))
+    except (TypeError, ValueError):
+        return None
+    if packed.translate(None, bytes(range(q))):
+        return None
+    return tuple(zip(*[iter(packed)] * len(norm[0])))
 
 
 def _checked_cells(cells: tuple, q: int) -> tuple[tuple[int, ...], ...]:
@@ -365,11 +385,7 @@ def extract_residue_subarray(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int)
     Requires t_r to divide the row count and t_c the column count.
     """
     _check_residue_args(x, s_r, s_c, t_r, t_c)
-    rows = range(s_r - 1, x.rows, t_r)
-    cols = range(s_c - 1, x.cols, t_c)
-    return Array2D(
-        tuple(tuple(x.cells[i][j] for j in cols) for i in rows), x.q
-    )
+    return Array2D(tuple(row[s_c - 1::t_c] for row in x.cells[s_r - 1::t_r]), x.q)
 
 
 def _check_residue_args(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int) -> None:
@@ -394,12 +410,11 @@ def interleave_residue_subarrays(
         for part in row:
             if (part.rows, part.cols, part.q) != (first.rows, first.cols, first.q):
                 raise InvalidParameterError("subarrays must share shape and alphabet")
-    rows = first.rows * t_r
-    cols = first.cols * t_c
-    cells = tuple(
-        tuple(parts[i % t_r][j % t_c].cells[i // t_r][j // t_c] for j in range(cols))
-        for i in range(rows)
-    )
+    cells = [[0] * (first.cols * t_c) for _ in range(first.rows * t_r)]
+    for s, row in enumerate(parts):
+        for u, part in enumerate(row):
+            for out_row, part_row in zip(cells[s::t_r], part.cells):
+                out_row[u::t_c] = part_row
     return Array2D(cells, first.q)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 from .errors import (
@@ -39,12 +40,14 @@ def vt_syndromes(x: tuple[int, ...], n: int, q: int) -> tuple[int, int]:
 
 
 def inversions(x: tuple[int, ...]) -> int:
-    """Number of out-of-order pairs (s < t with x_s > x_t)."""
+    """Number of out-of-order pairs (s < t with x_s > x_t), counted from the
+    right by bisection into the sorted entries seen so far."""
+    seen: list = []
     count = 0
-    for i, a in enumerate(x):
-        for b in x[i + 1:]:
-            if a > b:
-                count += 1
+    for v in reversed(x):
+        k = bisect_left(seen, v)
+        count += k
+        seen.insert(k, v)
     return count
 
 
@@ -56,9 +59,22 @@ def runs_count(x: tuple[int, ...]) -> int:
 
 
 def composition(x: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """Symbol frequency vector (count of 0, count of 1, ..., count of q-1)."""
+    """Symbol frequency vector (count of 0, count of 1, ..., count of q-1).
+
+    A tuple or list of at least 12 + 4q symbols over q <= 256 is packed into
+    bytes and counted by one bytes.count pass per symbol, which beats the
+    per-symbol loop from about that length. If packing fails or the counts
+    miss a symbol (one at or above q), the loop runs and raises as usual.
+    """
     if q < 2:
         raise InvalidParameterError("alphabet size must be at least 2")
+    if q <= 256 and isinstance(x, (tuple, list)) and len(x) >= 12 + 4 * q:
+        try:
+            counts = tuple(map(bytes(x).count, range(q)))
+        except (TypeError, ValueError):
+            counts = ()
+        if sum(counts) == len(x):
+            return counts
     counts = [0] * q
     for v in x:
         if not 0 <= v < q:

@@ -5,6 +5,8 @@ Column and row composition sequences, base-q row/column integers, and the
 """
 from __future__ import annotations
 
+import operator
+
 from .core_array import Array2D, transpose
 from .errors import InvalidParameterError
 from .onedim import composition
@@ -66,12 +68,10 @@ def check_band_height(rows: int, l: int) -> None:
 def is_l_weakly_valid(x: Array2D, l: int) -> bool:
     """True iff in each of the first three height-l row bands, adjacent columns differ."""
     check_band_height(x.rows, l)
-    cells = x.cells
     for k in range(3):
-        band = cells[k * l:(k + 1) * l]
-        for j in range(x.cols - 1):
-            if all(row[j] == row[j + 1] for row in band):
-                return False
+        band_cols = tuple(zip(*x.cells[k * l:(k + 1) * l]))
+        if any(map(operator.eq, band_cols, band_cols[1:])):
+            return False
     return True
 
 

@@ -21,6 +21,11 @@ the minor's completion, whose composition syndromes bracket the deleted
 column and row. resolve_deletion settles a bracket of at most two positions
 per axis by band and row inversion parities, for c2's fast path and for each
 residue subarray of c3; it needs no uniform sums.
+
+Parities and syndromes that the paper states on base-q integers (a band's
+columns, an array's rows) read each integer as its tuple of digits instead:
+equal-length tuples over {0, ..., q-1} order exactly like their base-q
+values, and tuples are compared at C level, never converted.
 """
 from __future__ import annotations
 
@@ -28,7 +33,6 @@ from .core_array import Array2D, transpose
 from .errors import AmbiguityError, CodePropertyError, InvalidParameterError, NotACodewordError
 from .onedim import comp_rank, composition, inversions
 from .outcome import DecodeOutcome
-from .reprs import rir
 
 
 class ScanContext:
@@ -178,13 +182,10 @@ def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
 
 def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
     """Inversion parities of the three height-l bands' column integers, then of
-    the row integers."""
-    q, cells = x.q, x.cells
-    out = []
-    for k in range(3):
-        band = cells[k * l:(k + 1) * l]
-        out.append(inversions(tuple(column_int(band, j, q) for j in range(x.cols))) % 2)
-    return tuple(out) + (inversions(rir(x)) % 2,)
+    the row integers, each integer read as its tuple of digits."""
+    cells = x.cells
+    bands = (inversions(tuple(zip(*cells[k * l:(k + 1) * l]))) % 2 for k in range(3))
+    return (*bands, inversions(cells) % 2)
 
 
 def disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
@@ -194,14 +195,6 @@ def disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
         if k * l < lo or (k - 1) * l + 1 > hi:
             return k
     raise CodePropertyError("no band avoids the row interval")
-
-
-def column_int(rows, j: int, q: int) -> int:
-    """Base-q integer read down column j (0-based) of the given rows."""
-    value = 0
-    for row in rows:
-        value = value * q + row[j]
-    return value
 
 
 def resolve_deletion(
@@ -221,25 +214,24 @@ def resolve_deletion(
     col_exact = col_interval[1] == j
     if not col_exact:
         # A band that avoids the row interval reads the same under either row
-        # hypothesis, so its parity tests the column alone. Its column
-        # integers with the missing one at j + 1 are those with it at j but
-        # for one adjacent swap: equal entries tie, else one parity matches.
+        # hypothesis, so its parity tests the column alone. Its columns with
+        # the missing one at j + 1 are those with it at j but for one
+        # adjacent swap: equal columns tie, else one parity matches.
         k = disjoint_band(l, row_interval)
-        band = ctx.candidate_rows(lo, j)[(k - 1) * l:k * l]
-        ints = [column_int(band, t, ctx.q) for t in range(ctx.cols)]
-        col_exact = ints[j - 1] != ints[j]
-        if col_exact and inversions(ints) % 2 != d[k - 1]:
+        band = tuple(zip(*ctx.candidate_rows(lo, j)[(k - 1) * l:k * l]))
+        col_exact = band[j - 1] != band[j]
+        if col_exact and inversions(band) % 2 != d[k - 1]:
             j += 1
 
-    cands = [(i, ctx.assemble(i, j)) for i in range(lo, hi + 1)]
-    matches = [(i, cand) for i, cand in cands if inversions(rir(cand)) % 2 == d[3]]
+    cands = [(i, ctx.candidate_rows(i, j)) for i in range(lo, hi + 1)]
+    matches = [(i, rows) for i, rows in cands if inversions(rows) % 2 == d[3]]
     if not matches:
         raise NotACodewordError("no row candidate matches the inversion parity")
-    if len({cand for _, cand in matches}) > 1:
+    if len({rows for _, rows in matches}) > 1:
         raise AmbiguityError("two row hypotheses give distinct arrays consistent with the class")
     row_exact = len(matches) == 1
     return (
-        matches[0][1],
+        Array2D(matches[0][1], ctx.q),
         matches[0][0] if row_exact else None,
         j if col_exact else None,
     )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crisscross import scan
 from crisscross.code_c2 import (
     C2Params,
     c2_check,
@@ -136,6 +137,23 @@ def test_locate_intervals_brackets_the_pattern():
     loc = c2_locate_intervals(y, p)
     assert loc.row_interval[0] <= 4 <= loc.row_interval[1]
     assert loc.col_interval[0] <= 2 <= loc.col_interval[1]
+
+
+def test_fast_decode_builds_one_scan_context(monkeypatch):
+    # interval location and parity resolution share the minor's context
+    rng = random.Random(6)
+    x = sample_valid(9, 9, 3, 2, rng, uniform_sums=True)
+    p = c2_syndromes(x, 2)
+    built = []
+    init = scan.ScanContext.__init__
+    monkeypatch.setattr(
+        scan.ScanContext, "__init__", lambda self, *args: built.append(init(self, *args))
+    )
+    for i, j in ((1, 1), (4, 7), (9, 9)):
+        built.clear()
+        y = delete_rows_cols(x, DeletionPattern((i,), (j,)))
+        assert c2_decode(y, p, path="fast").array == x
+        assert len(built) == 1
 
 
 def test_decode_never_returns_a_non_member_on_random_minors():

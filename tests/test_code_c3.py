@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crisscross import code_c3
+from crisscross import code_c3, scan
 from crisscross.code_c2 import c2_syndromes
 from crisscross.code_c3 import C3Params, c3_check, c3_decode, c3_syndromes
 from crisscross.core_array import (
@@ -22,6 +22,7 @@ from crisscross.errors import (
     NotInstantiableError,
 )
 from crisscross.reprs import is_l_weakly_valid
+from crisscross.scan import parity_bits
 from crisscross.verify import sample_valid, sample_weakly_valid
 
 
@@ -49,6 +50,46 @@ def test_syndromes_shape_guards():
     x9 = make_codeword(rng, 9, 3, 3, 3, 1)
     with pytest.raises(InvalidParameterError):
         c3_syndromes(x9, 2, 3, 1)  # 2 does not divide 9
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_syndromes_equal_the_per_subarray_reference(t):
+    # the anchor's grid slot comes from its c2 class; every slot must equal
+    # the subarray's own sums and parity bits all the same
+    rng = random.Random(40 + t)
+    n, q, l = 6 * t, 3, 1
+    for uniform in (True, False):
+        x = make_codeword(rng, n, q, t, t, l, uniform=uniform)
+        subs = [
+            [extract_residue_subarray(x, s, u, t, t) for u in range(1, t + 1)]
+            for s in range(1, t + 1)
+        ]
+        want = C3Params(
+            n=n, q=q, t_r=t, t_c=t, l=l,
+            anchor=c2_syndromes(subs[0][0], l, rows_distinct=True),
+            a=tuple(tuple(sub.col_sums() for sub in row) for row in subs),
+            b=tuple(tuple(sub.row_sums()[:-1] for sub in row) for row in subs),
+            d=tuple(tuple(parity_bits(sub, l) for sub in row) for row in subs),
+        )
+        assert c3_syndromes(x, t, t, l) == want
+
+
+def test_decode_builds_one_scan_context_per_subarray(monkeypatch):
+    # 2x2 residue classes under uniform sums: the anchor's fast decode builds
+    # one context and each of the other three subarrays one more
+    rng = random.Random(12)
+    x = make_codeword(rng, 12, 3, 2, 2, 1)
+    p = c3_syndromes(x, 2, 2, 1)
+    assert p.anchor.uniform
+    built = []
+    init = scan.ScanContext.__init__
+    monkeypatch.setattr(
+        scan.ScanContext, "__init__", lambda self, *args: built.append(init(self, *args))
+    )
+    for r0, c0 in ((1, 1), (6, 3), (11, 11)):
+        built.clear()
+        assert c3_decode(delete_rows_cols(x, BurstPattern(r0, c0, 2, 2)), p).array == x
+        assert len(built) == 4
 
 
 def test_syndromes_reject_unusable_anchor():

@@ -63,6 +63,25 @@ def test_adjacent_swap_of_unequal_symbols_flips_inversion_parity(vals, data):
     assert (inversions(tuple(vals)) + inversions(tuple(swapped))) % 2 == 1
 
 
+def _reference_inversions(x):
+    """The pairwise count that inversions replaced."""
+    return sum(1 for i, a in enumerate(x) for b in x[i + 1:] if a > b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 3), max_size=40),
+        st.integers(1, 3).flatmap(
+            lambda w: st.lists(st.tuples(*[st.integers(0, 2)] * w), max_size=40)
+        ),
+    )
+)
+def test_inversions_match_the_pairwise_count(x):
+    # small ranges make ties common; equal-length tuples order like base-q ints
+    assert inversions(tuple(x)) == _reference_inversions(tuple(x))
+
+
 def test_runs_count():
     assert runs_count((0, 0, 1, 1, 1, 0)) == 3
     assert runs_count((7,)) == 1
@@ -75,6 +94,51 @@ def test_composition_counts_symbols():
     assert composition((), 2) == (0, 0)
     with pytest.raises(InvalidParameterError):
         composition((0, 3), 3)
+
+
+def _reference_composition(x, q):
+    """The per-symbol loop that composition keeps for short or faulty input."""
+    if q < 2:
+        raise InvalidParameterError("alphabet size must be at least 2")
+    counts = [0] * q
+    for v in x:
+        if not 0 <= v < q:
+            raise InvalidParameterError(f"symbol {v} outside [0, {q})")
+        counts[v] += 1
+    return tuple(counts)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and message must match too
+        return type(exc), str(exc)
+
+
+_ODD_SYMBOLS = st.one_of(
+    st.booleans(), st.sampled_from([0.0, 1.0, 2.5, -1, -300, 255, 256, 257, 1000])
+)
+
+
+@st.composite
+def _symbol_sequences(draw):
+    """Sequences around composition's packing cutoff, 12 + 4q symbols, with up
+    to two entries swapped for bools, floats, negatives or symbols >= q."""
+    q = draw(st.sampled_from([2, 3, 255, 256, 257]))
+    cut = 12 + 4 * q
+    n = draw(st.sampled_from([0, 1, 11, cut - 1, cut, cut + 1]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = [rng.randrange(q) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        x[draw(st.integers(0, n - 1))] = draw(st.one_of(_ODD_SYMBOLS, st.integers(q - 2, q + 2)))
+    return draw(st.sampled_from([tuple, list]))(x), q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_symbol_sequences())
+def test_composition_matches_the_per_symbol_loop(case):
+    x, q = case
+    assert _result(composition, x, q) == _result(_reference_composition, x, q)
 
 
 def test_comp_rank_is_a_lex_order_isomorphism():

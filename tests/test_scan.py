@@ -14,10 +14,11 @@ from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
 from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols
 from crisscross.errors import AmbiguityError, CrissCrossError, NotACodewordError
 from crisscross.onedim import comp_rank, composition, inversions, signature_syndrome
-from crisscross.reprs import ccr
+from crisscross.reprs import ccr, rir
 from crisscross.scan import (
     ScanContext,
     column_rank_screen,
+    parity_bits,
     resolve_deletion,
     row_rank_screen,
     scan_verdict,
@@ -106,6 +107,29 @@ def test_rank_screens_match_per_hypothesis_brute_force(case):
             if _reference_row_syndrome(ctx, i, new_row, new_col) == p.c[1]
         }
         assert row_rank_screen(y, p.a, p.full_b, p.c[1]) == want_rows
+
+
+def _column_int(rows, j, q):
+    """Base-q integer read down column j (0-based) of the given rows."""
+    value = 0
+    for row in rows:
+        value = value * q + row[j]
+    return value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4), st.integers(1, 3), st.integers(0, 2), st.integers(1, 9),
+    st.randoms(use_true_random=False),
+)
+def test_parity_bits_match_the_base_q_integer_formula(q, l, extra, cols, rng):
+    rows = 3 * l + extra
+    x = Array2D([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], q)
+    bands = [
+        inversions(tuple(_column_int(x.cells[k * l:(k + 1) * l], j, q) for j in range(cols))) % 2
+        for k in range(3)
+    ]
+    assert parity_bits(x, l) == (*bands, inversions(rir(x)) % 2)
 
 
 def test_last_hypothesis_completes_the_minor_under_uniform_sums():
