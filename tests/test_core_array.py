@@ -125,38 +125,23 @@ def test_array_with_huge_alphabet_allocates_nothing_alphabet_sized():
     assert peak < 64 * 1024
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.integers(2, 4),
+    st.sampled_from([2, 3, 4, 255, 256, 257]),
     st.lists(
         st.lists(
-            st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 2.0])),
+            st.one_of(
+                st.integers(-1, 4),
+                st.integers(253, 258),
+                st.booleans(),
+                st.sampled_from([0.0, 1.0, 2.0, 255.0, 256.5]),
+            ),
             max_size=3,
         ),
         max_size=3,
     ),
 )
 def test_array_agrees_with_per_cell_reference(q, cells):
-    assert _outcome(_array_cells, cells, q) == _outcome(_reference_cells, cells, q)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.sampled_from([2, 3, 255, 256, 257]),
-    st.lists(
-        st.lists(
-            st.one_of(
-                st.integers(-2, 3),
-                st.integers(253, 258),
-                st.booleans(),
-                st.sampled_from([0.0, 1.0, 255.0, 256.5]),
-            ),
-            max_size=4,
-        ),
-        max_size=4,
-    ),
-)
-def test_array_agrees_with_per_cell_reference_on_both_sides_of_byte_alphabets(q, cells):
     # q <= 256 validates by packing the cells into bytes, q > 256 by scans
     assert _outcome(_array_cells, cells, q) == _outcome(_reference_cells, cells, q)
 
@@ -251,23 +236,12 @@ def test_residue_extraction_shapes():
         extract_residue_subarray(X33, 1, 1, 2, 1)  # 2 does not divide 3
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 3), st.integers(1, 2), st.integers(1, 2),
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 2), st.integers(1, 2), st.randoms(use_true_random=False))
 def test_interleave_inverts_extraction(q, t_r, t_c, m_r, m_c, rng):
     rows, cols = t_r * m_r, t_c * m_c
     x = Array2D([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], q)
-    parts = [
-        [extract_residue_subarray(x, s_r, s_c, t_r, t_c) for s_c in range(1, t_c + 1)]
-        for s_r in range(1, t_r + 1)
-    ]
-    assert interleave_residue_subarrays(parts, t_r, t_c) == x
-
-
-@pytest.mark.parametrize("t_r, t_c", [(1, 3), (3, 2), (2, 4)])
-def test_interleave_inverts_strided_extraction_at_unequal_widths(t_r, t_c):
-    rows, cols = 3 * t_r, 2 * t_c
-    x = Array2D([[(7 * i + j) % 5 for j in range(cols)] for i in range(rows)], 5)
     parts = [
         [extract_residue_subarray(x, s_r, s_c, t_r, t_c) for s_c in range(1, t_c + 1)]
         for s_r in range(1, t_r + 1)
