@@ -21,10 +21,9 @@ from .errors import (
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import comp_rank, composition, signature_syndrome, vt_decode_known_symbol
+from .onedim import signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import ccr
-from .scan import ScanContext, column_rank_screen, scan_verdict
+from .scan import ScanContext, column_rank_screen, comp_ranks, move_last, scan_verdict
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,18 @@ class C1Params:
         return len(set(self.a)) == 1 and len(set(self.full_b)) == 1
 
 
-def _class_of(x: Array2D, comps, relaxed: bool) -> C1Params:
-    """Parameters of the class of the square array x, whose column
-    composition sequence is comps."""
+def _fits(x: Array2D, ranks: tuple[int, ...], p: C1Params) -> bool:
+    """Membership of x, of p's shape, in p but for the sums, given its column
+    composition ranks: adjacent columns differ and the syndromes are p's."""
+    # Rows share one length and the alphabet, so tuple order is rir order.
+    syndromes = signature_syndrome(ranks, p.n), signature_syndrome(x.cells, p.n)
+    return all(u != v for u, v in zip(ranks, ranks[1:])) and syndromes == (p.c, p.d)
+
+
+def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
+    """Parameters of the class containing x."""
+    if x.rows != x.cols:
+        raise InvalidParameterError("this construction is defined on square arrays")
     n = x.rows
     b = x.row_sums()
     return C1Params(
@@ -82,27 +90,17 @@ def _class_of(x: Array2D, comps, relaxed: bool) -> C1Params:
         q=x.q,
         a=x.col_sums(),
         b=b[: n - 1] if relaxed else b,
-        c=signature_syndrome(tuple(map(comp_rank, comps)), n),
-        # Rows share one length and the alphabet, so tuple order is rir order.
+        c=signature_syndrome(comp_ranks(zip(*x.cells), x.q), n),
         d=signature_syndrome(x.cells, n),
         relaxed=relaxed,
     )
 
 
-def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
-    """Parameters of the class containing x."""
-    if x.rows != x.cols:
-        raise InvalidParameterError("this construction is defined on square arrays")
-    return _class_of(x, ccr(x), relaxed)
-
-
 def c1_check(x: Array2D, p: C1Params) -> bool:
     """Membership test: x is good and its own class is p."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
-    comps = ccr(x)
-    if any(u == v for u, v in zip(comps, comps[1:])):
-        return False
-    return _class_of(x, comps, p.relaxed) == p
+    ranks = comp_ranks(zip(*x.cells), p.q)
+    return x.col_sums() == p.a and x.row_sums() == p.full_b and _fits(x, ranks, p)
 
 
 def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
@@ -130,8 +128,7 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
     # With uniform sums the candidate of hypothesis (n, n) completes y, the
     # deleted row and column last, whatever the deleted positions.
-    cols = zip(*ctx.candidate_rows(n, n))
-    ranks = tuple(comp_rank(composition(col, p.q)) for col in cols)
+    ranks = comp_ranks(zip(*ctx.candidate_rows(n, n)), p.q)
     _, col_run = vt_decode_known_symbol(ranks[:-1], ranks[-1], p.c, n)
     if col_run[0] != col_run[1]:
         raise CodePropertyError(
@@ -142,7 +139,9 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     rows = ctx.candidate_rows(n, j)
     _, row_run = vt_decode_known_symbol(rows[:-1], rows[-1], p.d, n)
     x = ctx.assemble(row_run[0], j)
-    if not c1_check(x, p):
+    # x has p's sums by construction, and its column compositions are the
+    # completion's with the last one moved to j.
+    if not _fits(x, move_last(ranks, j), p):
         raise NotACodewordError("completed array fails the class constraints")
     return DecodeOutcome(array=x, row_interval=row_run, col_interval=(j, j), path="fast")
 

@@ -16,12 +16,14 @@ from .errors import (
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import comp_rank, composition, signature_syndrome, vt_decode_known_symbol
+from .onedim import signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import ccr, is_l_weakly_valid, no_triple_runs, rcr, rows_are_distinct
+from .reprs import is_l_weakly_valid, no_triple_runs, rows_are_distinct
 from .scan import (
     ScanContext,
     column_rank_screen,
+    comp_ranks,
+    move_last,
     parity_bits,
     resolve_deletion,
     row_rank_screen,
@@ -92,9 +94,14 @@ def default_band_height(n: int, q: int) -> int:
     return max(1, min(base, n // 3))
 
 
-def _class_of(x: Array2D, col_comps, row_comps, l: int, rows_distinct: bool) -> C2Params:
+def _ranks(x: Array2D) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ranks of the column compositions of x, then of its row compositions."""
+    return comp_ranks(zip(*x.cells), x.q), comp_ranks(x.cells, x.q)
+
+
+def _class_of(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool) -> C2Params:
     """Parameters of the class of x, whose column and row composition
-    sequences are col_comps and row_comps."""
+    ranks are col_ranks and row_ranks."""
     return C2Params(
         rows=x.rows,
         cols=x.cols,
@@ -102,12 +109,26 @@ def _class_of(x: Array2D, col_comps, row_comps, l: int, rows_distinct: bool) -> 
         l=l,
         a=x.col_sums(),
         b=x.row_sums()[: x.rows - 1],
-        c=(
-            signature_syndrome(tuple(map(comp_rank, col_comps)), x.cols),
-            signature_syndrome(tuple(map(comp_rank, row_comps)), x.rows),
-        ),
+        c=(signature_syndrome(col_ranks, x.cols), signature_syndrome(row_ranks, x.rows)),
         d=parity_bits(x, l),
         rows_distinct=rows_distinct,
+    )
+
+
+def _is_structured(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool) -> bool:
+    """Band validity of x given its composition ranks, with distinct rows if asked."""
+    return (
+        is_l_weakly_valid(x, l) and no_triple_runs(col_ranks) and no_triple_runs(row_ranks)
+        and (not rows_distinct or rows_are_distinct(x))
+    )
+
+
+def _fits(x: Array2D, col_ranks, row_ranks, p: C2Params) -> bool:
+    """Membership of x, of p's shape, in p but for the sums, given its composition ranks."""
+    return (
+        _is_structured(x, col_ranks, row_ranks, p.l, p.rows_distinct)
+        and p.c == (signature_syndrome(col_ranks, p.cols), signature_syndrome(row_ranks, p.rows))
+        and parity_bits(x, p.l) == p.d
     )
 
 
@@ -115,23 +136,21 @@ def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
     """Parameters of the class containing x (band height l)."""
     if x.rows < 3 * l:
         raise InvalidParameterError(f"rows {x.rows} cannot hold three bands of height {l}")
-    return _class_of(x, ccr(x), rcr(x), l, rows_distinct)
+    return _class_of(x, *_ranks(x), l, rows_distinct)
+
+
+def c2_member_class(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params | None:
+    """The class of x (band height l) if x is a member of it, else None."""
+    ranks = _ranks(x)
+    member = _is_structured(x, *ranks, l, rows_distinct)
+    return _class_of(x, *ranks, l, rows_distinct) if member else None
 
 
 def c2_check(x: Array2D, p: C2Params) -> bool:
     """Membership test: x is band-valid (with distinct consecutive rows if the
     class asks for them) and its own class is p."""
     require_shape(x, p.rows, p.cols, p.q, "the class parameters")
-    if p.rows_distinct and not rows_are_distinct(x):
-        return False
-    col_comps, row_comps = ccr(x), rcr(x)
-    if not (
-        no_triple_runs(col_comps)
-        and no_triple_runs(row_comps)
-        and is_l_weakly_valid(x, p.l)
-    ):
-        return False
-    return _class_of(x, col_comps, row_comps, p.l, p.rows_distinct) == p
+    return x.col_sums() == p.a and x.row_sums()[:-1] == p.b and _fits(x, *_ranks(x), p)
 
 
 @dataclass(frozen=True)
@@ -152,23 +171,23 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     return _locate(y, p)[1]
 
 
-def _locate(y: Array2D, p: C2Params) -> tuple[ScanContext, IntervalLocation]:
-    """c2_locate_intervals, also returning the ScanContext it built."""
+def _locate(y: Array2D, p: C2Params):
+    """c2_locate_intervals, plus its ScanContext and the completion's composition ranks."""
     if not p.uniform:
         raise InvalidParameterError("interval location requires uniform sums")
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
     ctx = ScanContext(y, p.a, p.full_b)
     rows = ctx.candidate_rows(p.rows, p.cols)
-    col_obs = tuple(comp_rank(composition(col, p.q)) for col in zip(*rows))
+    col_obs = comp_ranks(zip(*rows), p.q)
     _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
-    row_obs = tuple(comp_rank(composition(row, p.q)) for row in rows)
+    row_obs = comp_ranks(rows, p.q)
     _, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
     for run in (col_run, row_run):
         if run[1] - run[0] > 1:
             raise CodePropertyError(
                 "composition run longer than two contradicts the class structure"
             )
-    return ctx, IntervalLocation(row_interval=row_run, col_interval=col_run)
+    return ctx, IntervalLocation(row_interval=row_run, col_interval=col_run), col_obs, row_obs
 
 
 def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
@@ -190,16 +209,15 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
 
 
 def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
-    ctx, loc = _locate(y, p)
+    ctx, loc, col_obs, row_obs = _locate(y, p)
     x, i, j = resolve_deletion(ctx, p.l, p.d, loc.row_interval, loc.col_interval)
-    if not c2_check(x, p):
+    rows = loc.row_interval if i is None else (i, i)
+    cols = loc.col_interval if j is None else (j, j)
+    # x, assembled at (rows[0], cols[0]), has p's sums by construction, and its
+    # compositions are the completion's with the last ones moved there.
+    if not _fits(x, move_last(col_obs, cols[0]), move_last(row_obs, rows[0]), p):
         raise NotACodewordError("completed array fails the class constraints")
-    return DecodeOutcome(
-        array=x,
-        row_interval=loc.row_interval if i is None else (i, i),
-        col_interval=loc.col_interval if j is None else (j, j),
-        path="fast",
-    )
+    return DecodeOutcome(array=x, row_interval=rows, col_interval=cols, path="fast")
 
 
 def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:

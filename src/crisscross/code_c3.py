@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .code_c2 import C2Params, c2_check, c2_decode, c2_syndromes
+from .code_c2 import C2Params, c2_check, c2_decode, c2_member_class
 from .core_array import (
     Array2D,
     extract_residue_subarray,
@@ -32,7 +32,7 @@ from .errors import (
     NotInstantiableError,
 )
 from .outcome import DecodeOutcome
-from .reprs import is_l_valid, is_l_weakly_valid, rows_are_distinct
+from .reprs import is_l_weakly_valid
 from .scan import ScanContext, parity_bits, resolve_deletion
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
@@ -123,17 +123,17 @@ def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[Array2D]]:
     ]
 
 
-def _grids(
-    subs: list[list[Array2D]], l: int, anchor: C2Params | None = None
-) -> tuple[SumGrid, SumGrid, BitGrid]:
-    """The (a, b, d) grids of the subarrays: column sums, all row sums but
-    the last, and parity bits. The anchor slot is read off anchor, the
-    anchor subarray's c2 class, when it is given."""
+def _slot(sub: Array2D, l: int) -> tuple:
+    """A subarray's column sums, all its row sums but the last, and its parity bits."""
+    return sub.col_sums(), sub.row_sums()[:-1], parity_bits(sub, l)
+
+
+def _grids(subs, l: int, anchor: C2Params | None = None) -> tuple[SumGrid, SumGrid, BitGrid]:
+    """The (a, b, d) grids of the subarrays. The anchor slot is read off
+    anchor, the anchor subarray's c2 class, when it is given."""
     slots = [
         [
-            (sub.col_sums(), sub.row_sums()[:-1], parity_bits(sub, l))
-            if anchor is None or (s, u) != (0, 0)
-            else (anchor.a, anchor.b, anchor.d)
+            _slot(sub, l) if anchor is None or (s, u) != (0, 0) else (anchor.a, anchor.b, anchor.d)
             for u, sub in enumerate(row)
         ]
         for s, row in enumerate(subs)
@@ -151,36 +151,32 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     if x.rows != x.cols:
         raise InvalidParameterError("the burst code is defined on square arrays")
     if t_r < 1 or t_c < 1 or x.rows % t_r or x.cols % t_c:
-        raise InvalidParameterError(
-            f"burst lengths ({t_r}, {t_c}) must divide n={x.rows}"
-        )
+        raise InvalidParameterError(f"burst lengths ({t_r}, {t_c}) must divide n={x.rows}")
     subs = _subarrays(x, t_r, t_c)
-    head = subs[0][0]
-    if not is_l_valid(head, l) or not rows_are_distinct(head):
+    anchor = c2_member_class(subs[0][0], l, rows_distinct=True)
+    if anchor is None:
         raise NotInstantiableError(
             "anchor subarray is not band-valid with distinct consecutive rows"
         )
-    anchor = c2_syndromes(head, l, rows_distinct=True)
     a, b, d = _grids(subs, l, anchor)
-    return C3Params(
-        n=x.rows, q=x.q, t_r=t_r, t_c=t_c, l=l, anchor=anchor, a=a, b=b, d=d
-    )
+    return C3Params(n=x.rows, q=x.q, t_r=t_r, t_c=t_c, l=l, anchor=anchor, a=a, b=b, d=d)
 
 
-def _fits_grids(subs: list[list[Array2D]], p: C3Params) -> bool:
-    """Membership of the subarrays but for the anchor test: every subarray
-    is weakly band-valid and their grids are p's."""
-    return all(is_l_weakly_valid(sub, p.l) for row in subs for sub in row) and (
-        _grids(subs, p.l) == (p.a, p.b, p.d)
+def _fits_rest(subs: list[list[Array2D]], p: C3Params) -> bool:
+    """Membership of the subarrays but for the anchor's, which c2_check decides:
+    each other one is weakly band-valid and its (a, b, d) slot is p's."""
+    return all(
+        is_l_weakly_valid(sub, p.l) and _slot(sub, p.l) == (p.a[s][u], p.b[s][u], p.d[s][u])
+        for s, row in enumerate(subs) for u, sub in enumerate(row) if s or u
     )
 
 
 def c3_check(x: Array2D, p: C3Params) -> bool:
     """Membership test: the anchor subarray is in the anchor class, every
-    subarray is weakly band-valid, and x's own grids are p's."""
+    other subarray is weakly band-valid, and their grid slots are p's."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
     subs = _subarrays(x, p.t_r, p.t_c)
-    return c2_check(subs[0][0], p.anchor) and _fits_grids(subs, p)
+    return c2_check(subs[0][0], p.anchor) and _fits_rest(subs, p)
 
 
 def _window_starts(
@@ -211,29 +207,23 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
     if path != "auto":
         raise InvalidParameterError(f"the burst decoder has a single path, not {path!r}")
     require_shape(y, p.n - p.t_r, p.n - p.t_c, p.q, f"a {p.t_r}x{p.t_c} burst deletion")
-    y_subs = _subarrays(y, p.t_r, p.t_c)
 
-    anchor_out = c2_decode(y_subs[0][0], p.anchor)
+    anchor_out = c2_decode(extract_residue_subarray(y, 1, 1, p.t_r, p.t_c), p.anchor)
     if not (anchor_out.row_exact and anchor_out.col_exact):
         raise CodePropertyError(
             "anchor decode left a position open despite the distinct-rows guarantee"
         )
-    i_star = anchor_out.row_interval[0]
-    j_star = anchor_out.col_interval[0]
+    (i_star, _), (j_star, _) = anchor_out.row_interval, anchor_out.col_interval
 
-    parts: list[list[Array2D]] = [
-        [None] * p.t_c for _ in range(p.t_r)  # type: ignore[list-item]
-    ]
+    parts: list[list] = [[None] * p.t_c for _ in range(p.t_r)]
     parts[0][0] = anchor_out.array
-    row_hits = [(1, i_star)]
-    col_hits = [(1, j_star)]
+    row_hits, col_hits = [(1, i_star)], [(1, j_star)]
     for s, u in itertools.product(range(1, p.t_r + 1), range(1, p.t_c + 1)):
         if (s, u) == (1, 1):
             continue
+        minor = tuple(row[u - 1::p.t_c] for row in y.cells[s - 1::p.t_r])
         sub, i_res, j_res = resolve_deletion(
-            ScanContext(y_subs[s - 1][u - 1], p.a[s - 1][u - 1], p.full_b(s, u)),
-            p.l,
-            p.d[s - 1][u - 1],
+            ScanContext(minor, p.a[s - 1][u - 1], p.full_b(s, u), p.q), p.l, p.d[s - 1][u - 1],
             (i_star if s == 1 else max(i_star - 1, 1), i_star),
             (j_star if u == 1 else max(j_star - 1, 1), j_star),
         )
@@ -244,8 +234,8 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
             col_hits.append((u, j_res))
 
     # c2_decode returned a member of the anchor class, so the rest of
-    # c3_check remains, on the subarrays in hand
-    if not _fits_grids(parts, p):
+    # c3_check remains, on the other subarrays in hand
+    if not _fits_rest(parts, p):
         raise NotACodewordError("reassembled array fails the class constraints")
     return DecodeOutcome(
         array=interleave_residue_subarrays(parts, p.t_r, p.t_c),

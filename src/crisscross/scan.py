@@ -3,7 +3,9 @@
 Hypothesis scan: given a received minor Y and indexed column/row sum vectors,
 each deletion hypothesis (i, j) forces a unique candidate array: the missing
 symbols in every surviving column and row are pinned by their sum constraints
-and the corner by the deleted row's own sum. The scan decoders try all
+and the corner by the deleted row's own sum. Column j's sum then follows
+from sum(a) == sum(full_b) mod q, which every params type keeps, so each
+candidate has the class's sums by construction. The scan decoders try all
 rows x cols hypotheses through three filters, each a necessary condition of
 membership, so a hypothesis passes all three exactly when its candidate is a
 class member:
@@ -18,9 +20,12 @@ class member:
 
 Fast paths: with uniform sums the candidate of hypothesis (rows, cols) is
 the minor's completion, whose composition syndromes bracket the deleted
-column and row. resolve_deletion settles a bracket of at most two positions
-per axis by band and row inversion parities, for c2's fast path and for each
-residue subarray of c3; it needs no uniform sums.
+column and row; the forced symbols then ignore where the row and column go
+in, so the candidate of (i, j) has the completion's column (row)
+compositions with the last one moved to j (i). resolve_deletion settles a
+bracket of at most two positions per axis by band and row inversion
+parities, for c2's fast path and for each residue subarray of c3; it needs
+no uniform sums.
 
 Parities and syndromes that the paper states on base-q integers (a band's
 columns, an array's rows) read each integer as its tuple of digits instead:
@@ -36,22 +41,22 @@ from .outcome import DecodeOutcome
 
 
 class ScanContext:
-    """The received minor with its column and row sums, from which the sums
-    of the class force the candidate array of every deletion hypothesis."""
+    """The received minor y (an Array2D, or its row tuples over q) with the
+    class's column and row sums, which force the candidate array of every
+    deletion hypothesis; if sum(a) == sum(full_b) mod q, each candidate has
+    column sums a and row sums full_b."""
 
-    def __init__(self, y: Array2D, a: tuple[int, ...], full_b: tuple[int, ...]):
+    def __init__(self, y, a: tuple[int, ...], full_b: tuple[int, ...], q: int | None = None):
+        cells, q = (y.cells, y.q) if q is None else (y, q)
         rows, cols = len(full_b), len(a)
-        if y.rows != rows - 1 or y.cols != cols - 1:
+        if len(cells) != rows - 1 or len(cells[0]) != cols - 1:
             raise InvalidParameterError(
-                f"received shape {y.rows}x{y.cols} does not match a single "
+                f"received shape {len(cells)}x{len(cells[0])} does not match a single "
                 f"criss-cross deletion from {rows}x{cols}"
             )
-        q = self.q = y.q
-        self.rows, self.cols = rows, cols
-        self.full_b = full_b
-        self.cells = y.cells
-        col_sums = [sum(col) for col in zip(*y.cells)]
-        row_sums = [sum(row) for row in y.cells]
+        self.q, self.rows, self.cols, self.full_b, self.cells = q, rows, cols, full_b, cells
+        col_sums = [sum(col) for col in zip(*cells)]
+        row_sums = [sum(row) for row in cells]
         # Forced symbol of each minor column (row): where it keeps its index,
         # left of (above) the deleted one, and where it moves one on, right
         # of (below) it.
@@ -79,6 +84,16 @@ class ScanContext:
     def assemble(self, i_hyp: int, j_hyp: int) -> Array2D:
         """Materialize the candidate array for hypothesis (i_hyp, j_hyp)."""
         return Array2D(self.candidate_rows(i_hyp, j_hyp), self.q)
+
+
+def comp_ranks(seqs, q: int) -> tuple[int, ...]:
+    """Rank of each sequence's composition over q."""
+    return tuple(comp_rank(composition(seq, q)) for seq in seqs)
+
+
+def move_last(seq: tuple, k: int) -> tuple:
+    """seq with its last entry moved to 1-based position k."""
+    return seq[:k - 1] + seq[-1:] + seq[k - 1:-1]
 
 
 def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bool]]:
@@ -198,17 +213,15 @@ def disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
 
 
 def resolve_deletion(
-    ctx: ScanContext,
-    l: int,
-    d: tuple[int, int, int, int],
-    row_interval: tuple[int, int],
-    col_interval: tuple[int, int],
+    ctx: ScanContext, l: int, d: tuple[int, int, int, int],
+    row_interval: tuple[int, int], col_interval: tuple[int, int],
 ) -> tuple[Array2D, int | None, int | None]:
     """Finish a deletion bracketed to at most two adjacent rows and columns by
     the inversion parities d of the class (three bands, then row integers).
 
     Returns the candidate array plus the resolved row and column indices
-    (None where a tie left the position open; the array is unique anyway).
+    (None where a tie left the position open; the array is unique anyway,
+    and was assembled at that interval's first position).
     """
     (lo, hi), j = row_interval, col_interval[0]
     col_exact = col_interval[1] == j

@@ -3,12 +3,20 @@
 import functools
 import itertools
 import random
+import sys
 from collections import defaultdict
 
 import pytest
 
+from crisscross import onedim
 from crisscross.code_c1 import C1Params, c1_check, c1_decode, c1_enumerate, c1_syndromes
-from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols, enumerate_arrays
+from crisscross.core_array import (
+    Array2D,
+    DeletionPattern,
+    delete_rows_cols,
+    deletion_brackets,
+    enumerate_arrays,
+)
 from crisscross.errors import (
     AmbiguityError,
     CapacityError,
@@ -118,6 +126,60 @@ def test_decode_never_returns_a_non_member():
         except (NotACodewordError, AmbiguityError):
             continue
         assert c1_check(out.array, p)
+
+
+def test_decode_never_returns_a_non_member_on_random_minors():
+    # true, perturbed and arbitrary minors of a uniform and a plain class,
+    # on both paths; the fast path refuses the plain class outright
+    rng = random.Random(43)
+    returned = 0
+    for uniform in (True, False):
+        x = sample_good(7, 3, rng, uniform_sums=uniform)
+        p = c1_syndromes(x)
+        assert p.uniform == uniform
+        for k in range(400):
+            y = delete_rows_cols(x, DeletionPattern((rng.randint(1, 7),), (rng.randint(1, 7),)))
+            if k % 2:  # one cell off a genuine minor
+                cells = [list(row) for row in y.cells]
+                cells[rng.randrange(6)][rng.randrange(6)] = rng.randrange(3)
+                y = Array2D(cells, 3)
+            if k % 4 == 3:  # no relation to the codeword at all
+                y = Array2D([[rng.randrange(3) for _ in range(6)] for _ in range(6)], 3)
+            for path in ("fast", "scan"):
+                if path == "fast" and not uniform:
+                    with pytest.raises(InvalidParameterError, match="uniform"):
+                        c1_decode(y, p, path=path)
+                    continue
+                try:
+                    out = c1_decode(y, p, path=path)
+                except (AmbiguityError, NotACodewordError):
+                    continue
+                assert c1_check(out.array, p)
+                assert deletion_brackets(out.array, y, 1, 1) is not None
+                returned += 1
+    assert returned >= 600  # the genuine minors, both paths on the uniform class
+
+
+def test_fast_decode_ranks_each_column_once(monkeypatch):
+    # the final test reuses the completion's column composition ranks, so
+    # only the n columns of the completion are counted
+    rng = random.Random(8)
+    x = sample_good(9, 3, rng, uniform_sums=True)
+    p = c1_syndromes(x)
+    calls, real = [], onedim.composition
+
+    def counted(seq, q):
+        calls.append(seq)
+        return real(seq, q)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("crisscross") and "composition" in vars(module):
+            monkeypatch.setattr(module, "composition", counted)
+    for i, j in ((1, 1), (4, 7), (9, 9)):
+        calls.clear()
+        y = delete_rows_cols(x, DeletionPattern((i,), (j,)))
+        assert c1_decode(y, p, path="fast").array == x
+        assert len(calls) == 9
 
 
 @functools.cache

@@ -92,6 +92,25 @@ def test_decode_builds_one_scan_context_per_subarray(monkeypatch):
         assert len(built) == 4
 
 
+def test_decode_builds_arrays_only_where_it_hands_them_on(monkeypatch):
+    # 2x2 residue classes: the anchor's minor for c2_decode, one array per
+    # resolved subarray (c2's fast path and resolve_deletion return them)
+    # and the result; the other minors are cut as row tuples
+    rng = random.Random(12)
+    x = make_codeword(rng, 12, 3, 2, 2, 1)
+    p = c3_syndromes(x, 2, 2, 1)
+    built = []
+    init = Array2D.__init__
+    monkeypatch.setattr(
+        Array2D, "__init__", lambda self, *args: built.append(init(self, *args))
+    )
+    for r0, c0 in ((1, 1), (6, 3), (11, 11)):
+        y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
+        built.clear()
+        assert c3_decode(y, p).array == x
+        assert len(built) == 1 + 4 + 1
+
+
 def test_syndromes_reject_unusable_anchor():
     # the all-zeros array has an all-equal anchor: no banding, no distinct rows
     x = Array2D([[0] * 8] * 8, 3)

@@ -14,10 +14,11 @@ from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
 from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols
 from crisscross.errors import AmbiguityError, CrissCrossError, NotACodewordError
 from crisscross.onedim import comp_rank, composition, inversions, signature_syndrome
-from crisscross.reprs import ccr, rir
+from crisscross.reprs import ccr, rcr, rir
 from crisscross.scan import (
     ScanContext,
     column_rank_screen,
+    move_last,
     parity_bits,
     resolve_deletion,
     row_rank_screen,
@@ -130,6 +131,53 @@ def test_parity_bits_match_the_base_q_integer_formula(q, l, extra, cols, rng):
         for k in range(3)
     ]
     assert parity_bits(x, l) == (*bands, inversions(rir(x)) % 2)
+
+
+@st.composite
+def _sums_cases(draw, uniform=st.booleans()):
+    """An arbitrary minor with column and row sums that agree mod q: uniform
+    sums (a uniform full_b needs rows * b == cols * a mod q) or any."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    symbols = st.integers(0, q - 1)
+    y = Array2D(draw(st.lists(st.lists(symbols, min_size=cols - 1, max_size=cols - 1),
+                              min_size=rows - 1, max_size=rows - 1)), q)
+    if draw(uniform):
+        av, bv = draw(st.sampled_from([
+            (av, bv) for av in range(q) for bv in range(q) if (rows * bv - cols * av) % q == 0
+        ]))
+        a, b = cols * (av,), (rows - 1) * (bv,)
+    else:
+        a = tuple(draw(st.lists(symbols, min_size=cols, max_size=cols)))
+        b = tuple(draw(st.lists(symbols, min_size=rows - 1, max_size=rows - 1)))
+    return y, a, b + ((sum(a) - sum(b)) % q,)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sums_cases())
+def test_every_candidate_has_the_class_sums(case):
+    # the fast paths' final tests skip the sums on this ground
+    y, a, full_b = case
+    ctx = ScanContext(y, a, full_b)
+    for i, j in itertools.product(range(1, len(full_b) + 1), range(1, len(a) + 1)):
+        x = ctx.assemble(i, j)
+        assert x.col_sums() == a and x.row_sums() == full_b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sums_cases(uniform=st.just(True)))
+def test_uniform_candidates_permute_the_completion_compositions(case):
+    # under uniform sums the fast paths read a candidate's compositions off
+    # the completion's, the last one moved to the deleted position
+    y, a, full_b = case
+    assert len(set(a)) == len(set(full_b)) == 1
+    ctx = ScanContext(y, a, full_b)
+    rows, cols = len(full_b), len(a)
+    completion = ctx.assemble(rows, cols)
+    for i, j in itertools.product(range(1, rows + 1), range(1, cols + 1)):
+        x = ctx.assemble(i, j)
+        assert ccr(x) == move_last(ccr(completion), j)
+        assert rcr(x) == move_last(rcr(completion), i)
 
 
 def test_last_hypothesis_completes_the_minor_under_uniform_sums():
