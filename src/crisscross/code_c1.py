@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import signature_syndrome, vt_decode_known_symbol
+from .onedim import inserted_syndrome, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
 from .scan import ScanContext, column_rank_screen, comp_ranks, move_last, scan_verdict
 
@@ -108,7 +108,9 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
 
     With uniform sums the missing symbols are completed directly and the two
     VT-style syndromes localize the deleted column and row. Otherwise every
-    deletion hypothesis is scanned and filtered by full membership; ball
+    hypothesis is screened by its column-rank syndrome and each hit with
+    adjacent-distinct columns by its row-integer syndrome, both O(1) from
+    tables, then tested bar the sums (which it has by construction); ball
     disjointness of the class makes at most one survivor possible.
     """
     if path not in ("auto", "fast", "scan"):
@@ -148,16 +150,26 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
 
 def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
+    by_col = {}
     survivors: dict[Array2D, list[tuple[int, int]]] = {}
-    for i_hyp, j_hyp, distinct in column_rank_screen(ctx, p.c):
+    for i_hyp, j_hyp, distinct, rank in column_rank_screen(ctx, p.c):
         if not distinct:
             continue
-        rows = ctx.candidate_rows(i_hyp, j_hyp)
-        # Rows share one length and the alphabet, so tuple order is rir order.
-        if signature_syndrome(rows, p.n) != p.d:
+        if j_hyp not in by_col:
+            # The minor's rows with their symbol above (below) the deleted row at
+            # column j; rows share length and alphabet, so tuple order is rir order.
+            above, below = (
+                [row[:j_hyp - 1] + (v,) + row[j_hyp - 1:] for row, v in zip(ctx.cells, side)]
+                for side in (ctx.up, ctx.down)
+            )
+            by_col[j_hyp] = above, below, inserted_syndrome(above, below, p.n)
+        above, below, syndrome = by_col[j_hyp]
+        new_row = ctx.forced_insertions(i_hyp, j_hyp)[0]
+        if syndrome(i_hyp, new_row) != p.d:
             continue
-        cand = Array2D(rows, p.q)
-        if c1_check(cand, p):
+        cand = Array2D((*above[:i_hyp - 1], new_row, *below[i_hyp - 1:]), p.q)
+        # cand has p's sums by construction.
+        if _fits(cand, ctx.col_ranks.ranks(j_hyp, rank), p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")
 

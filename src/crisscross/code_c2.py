@@ -26,7 +26,6 @@ from .scan import (
     move_last,
     parity_bits,
     resolve_deletion,
-    row_rank_screen,
     scan_verdict,
 )
 
@@ -195,8 +194,8 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
 
     Fast path (uniform sums): locate intervals, then resolve the column using a
     band disjoint from the row interval and the matching band parity, then the
-    row using the row-integer parity. General path: hypothesis scan filtered by
-    full membership.
+    row using the row-integer parity. General path: the column-rank screen, the
+    row-rank syndrome of each hit off the same tables, then membership bar the sums.
     """
     if path not in ("auto", "fast", "scan"):
         raise InvalidParameterError(f"unknown decode path {path!r}")
@@ -222,12 +221,14 @@ def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
 
 def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
-    row_hits = row_rank_screen(y, p.a, p.full_b, p.c[1])
+    cols, rows = ctx.col_ranks, ctx.row_ranks
     survivors: dict[Array2D, list[tuple[int, int]]] = {}
-    for i_hyp, j_hyp, _ in column_rank_screen(ctx, p.c[0]):
-        if (i_hyp, j_hyp) not in row_hits:
+    for i_hyp, j_hyp, _, col_rank in column_rank_screen(ctx, p.c[0]):
+        row_rank = rows.inserted_rank(j_hyp, ctx.corner(i_hyp, j_hyp))
+        if rows.syndrome(i_hyp, row_rank) != p.c[1]:
             continue
         cand = ctx.assemble(i_hyp, j_hyp)
-        if c2_check(cand, p):
+        # cand has p's sums by construction.
+        if _fits(cand, cols.ranks(j_hyp, col_rank), rows.ranks(i_hyp, row_rank), p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -28,8 +29,9 @@ def signature_syndrome(x: tuple[int, ...], n: int) -> int:
     """Weighted ascent sum of the signature, reduced mod n."""
     if n < 1:
         raise InvalidParameterError("modulus must be positive")
-    sig = signature(x)
-    return sum(i for i, bit in enumerate(sig, start=1) if bit) % n
+    if len(x) < 1:
+        raise InvalidParameterError("signature needs a nonempty sequence")
+    return sum(itertools.compress(range(1, len(x)), map(operator.le, x, x[1:]))) % n
 
 
 def vt_syndromes(x: tuple[int, ...], n: int, q: int) -> tuple[int, int]:
@@ -118,13 +120,37 @@ def _insert(y: tuple[int, ...], p: int, v: int) -> tuple[int, ...]:
     return y[: p - 1] + (v,) + y[p - 1:]
 
 
+def inserted_syndrome(before, after, n: int):
+    """Signature syndrome mod n of before[:p-1] + [v] + after[p-1:], for
+    before and after of n-1 entries each, as a function of the 1-based p
+    and v: O(n) prefix sums, then O(1) and two comparisons of v a call."""
+    # fixed[p]: the ascents within before[:p-1] and within after[p-1:], each
+    # weighted by its place in the whole. Plain loops beat itertools here.
+    fixed, acc = [0] * (n + 1), 0
+    for p in range(3, n + 1):
+        if before[p - 2] >= before[p - 3]:
+            acc += p - 2
+        fixed[p] = acc
+    acc = 0
+    for p in range(n - 2, 0, -1):
+        if after[p] >= after[p - 1]:
+            acc += p + 1
+        fixed[p] += acc
+    after = [*after, after[-1]]  # at p = n its weight n vanishes mod n
+
+    def syndrome(p: int, v) -> int:
+        return (fixed[p] + (p - 1) * (v >= before[p - 2]) + p * (after[p - 1] >= v)) % n
+
+    return syndrome
+
+
 def vt_decode_known_symbol(
     y: tuple[int, ...], v: int, a: int, n: int
 ) -> tuple[tuple[int, ...], tuple[int, int]]:
     """Recover x of length n from y = x minus one occurrence of the known symbol v.
 
     Matches the signature syndrome a mod n over all n insertion positions using
-    incremental syndrome updates; the matching positions form one run of equal
+    inserted_syndrome's prefix sums; the matching positions form one run of equal
     insertions and every one yields the same sequence. Returns (x, (lo, hi))
     where [lo, hi] is that 1-based ambiguity run.
     """
@@ -134,33 +160,8 @@ def vt_decode_known_symbol(
         if a % n != 0:
             raise NotACodewordError("syndrome impossible for length-1 sequences")
         return (v,), (1, 1)
-    sig = signature(y)
-    # prefix weighted sums / counts of the received signature
-    w = [0] * (n - 1)
-    c = [0] * (n - 1)
-    acc_w = acc_c = 0
-    for t in range(1, n - 1):
-        if sig[t - 1]:
-            acc_w += t
-            acc_c += 1
-        w[t] = acc_w
-        c[t] = acc_c
-    total_w, total_c = w[n - 2], c[n - 2]
-
-    matches = []
-    for p in range(1, n + 1):
-        syn = w[p - 2] if p >= 2 else 0
-        # ascents of y shifted right past the insertion point
-        tail_w = total_w - (w[p - 1] if p <= n - 1 else total_w)
-        tail_c = total_c - (c[p - 1] if p <= n - 1 else total_c)
-        syn += tail_w + tail_c
-        if p >= 2 and v >= y[p - 2]:
-            syn += p - 1
-        if p <= n - 1 and y[p - 1] >= v:
-            syn += p
-        if syn % n == a % n:
-            matches.append(p)
-
+    syndrome = inserted_syndrome(y, y, n)
+    matches = [p for p in range(1, n + 1) if syndrome(p, v) == a % n]
     if not matches:
         raise NotACodewordError("no insertion position matches the signature syndrome")
     first = _insert(y, matches[0], v)

@@ -12,11 +12,14 @@ class member:
 
 1. column_rank_screen: the column-composition signature syndrome of every
    candidate, O(1) each after O(n(n+q)) tables: O(n^2) in all for a fixed q.
-2. O(n) per survivor of filter 1, of which there are about n. c1 reads
-   adjacent-distinct columns off filter 1's ranks, then compares the
-   assembled row tuples for the row-integer syndrome. c2 keeps the survivors
-   that row_rank_screen, filter 1 run once on the transposed minor, passes.
-3. The full membership check, on the candidates that pass both.
+2. The other syndrome, O(1) for each of the about n hits of filter 1: c2
+   reads row ranks off ScanContext.row_ranks; c1 takes the hits whose
+   adjacent columns differ, lays out the minor's rows once for each of
+   their few columns j, and compares each hit's forced row with two rows.
+3. The module's membership test bar the sums, fed the ranks that 1 and 2
+   read, on the one array built for each hypothesis that passes both.
+Filters 1 and 2 read the syndrome of a sequence with one entry inserted,
+whose other entries ignore where it goes, off onedim.inserted_syndrome.
 
 Fast paths: with uniform sums the candidate of hypothesis (rows, cols) is
 the minor's completion, whose composition syndromes bracket the deleted
@@ -34,10 +37,45 @@ values, and tuples are compared at C level, never converted.
 """
 from __future__ import annotations
 
-from .core_array import Array2D, transpose
+from functools import cache, cached_property
+from itertools import accumulate
+from operator import sub
+
+from .core_array import Array2D
 from .errors import AmbiguityError, CodePropertyError, InvalidParameterError, NotACodewordError
-from .onedim import comp_rank, composition, inversions
+from .onedim import comp_rank, composition, inserted_syndrome, inversions
 from .outcome import DecodeOutcome
+
+
+def _ranked(comp: tuple[int, ...], v: int) -> int:
+    """Rank of the composition comp with one more symbol v."""
+    return comp_rank(comp[:v] + (comp[v] + 1,) + comp[v + 1:])
+
+
+class RankTable:
+    """Composition ranks of the candidates' lines along one axis (columns or
+    rows). With the inserted line at p, line k < p (k > p) is minor line k
+    (k-1) plus its forced symbol of that side, ranked before[k-1] (after[k-2]).
+    The inserted line holds the corner and the other axis's forced symbols
+    at its own inserted line's position p', counted in counts[p']."""
+
+    def __init__(self, lines, before, after, cross_before, cross_after, q: int):
+        comps = [composition(line, q) for line in lines]
+        self.before = [_ranked(c, v) for c, v in zip(comps, before)]
+        self.after = [_ranked(c, v) for c, v in zip(comps, after)]
+        self.syndrome = inserted_syndrome(self.before, self.after, len(comps) + 1)
+        counts = [*composition(cross_after, q)]
+        self.counts = [(), tuple(counts)]
+        for u, v in zip(cross_before, cross_after):
+            counts[u] += 1
+            counts[v] -= 1
+            self.counts.append(tuple(counts))
+
+    def inserted_rank(self, p_cross: int, corner: int) -> int:
+        return _ranked(self.counts[p_cross], corner)
+
+    def ranks(self, p: int, rank: int) -> tuple[int, ...]:
+        return (*self.before[:p - 1], rank, *self.after[p - 1:])
 
 
 class ScanContext:
@@ -64,6 +102,23 @@ class ScanContext:
         self.right = [(t - s) % q for t, s in zip(a[1:], col_sums)]
         self.up = [(t - s) % q for t, s in zip(full_b, row_sums)]
         self.down = [(t - s) % q for t, s in zip(full_b[1:], row_sums)]
+
+    @cached_property
+    def row_rest(self) -> list[int]:
+        """The inserted row's sum without the corner, by the deleted column."""
+        return [*accumulate(map(sub, self.left, self.right), initial=sum(self.right))]
+
+    def corner(self, i_hyp: int, j_hyp: int) -> int:
+        """The corner symbol forced under hypothesis (i_hyp, j_hyp), in O(1)."""
+        return (self.full_b[i_hyp - 1] - self.row_rest[j_hyp - 1]) % self.q
+
+    @cached_property
+    def col_ranks(self) -> RankTable:
+        return RankTable(zip(*self.cells), self.left, self.right, self.up, self.down, self.q)
+
+    @cached_property
+    def row_ranks(self) -> RankTable:
+        return RankTable(self.cells, self.up, self.down, self.left, self.right, self.q)
 
     def forced_insertions(self, i_hyp: int, j_hyp: int):
         """Row and column contents forced by the sums under hypothesis (i_hyp, j_hyp)."""
@@ -96,83 +151,43 @@ def move_last(seq: tuple, k: int) -> tuple:
     return seq[:k - 1] + seq[-1:] + seq[k - 1:-1]
 
 
-def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bool]]:
+def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bool, int]]:
     """Hypotheses (i, j), in row-major order, whose candidate has column-rank
     signature syndrome target, each with whether the candidate's adjacent
-    columns have distinct compositions.
+    columns have distinct compositions and the rank of its column j.
 
-    For k != j, candidate column k is minor column k (k < j) or k-1 (k > j),
-    1-based, plus a forced symbol that depends only on that side, so its rank
-    is L[k] for k < j and R[k] for k > j, whatever i is. The syndrome is then
-    the weighted ascents within L before j, those within R after j, and the
-    two terms beside j.
-    The inserted column j holds the same symbols for every j apart from its
-    corner (full_b[i] - S_j) mod q, where S_j is the new row's sum without the
-    corner; its counts are kept incrementally over i and each corner value is
-    ranked once per i.
+    Column j holds the same symbols for every j apart from its corner, which
+    depends on j only through ctx.row_rest[j-1] mod q. So the js that pass
+    are found once for each such residue and rank of column j, which takes
+    a handful of values per decode, and row i costs O(q + hits).
     """
-    q, rows, cols, fb = ctx.q, ctx.rows, ctx.cols, ctx.full_b
-    y_comps = [composition(col, q) for col in zip(*ctx.cells)]
+    table, q = ctx.col_ranks, ctx.q
+    # Ranks beside column j, -1 past either end: a rank never equals -1.
+    before, after = [-1, *table.before], [*table.after, -1]
+    # The other columns differ from their neighbours iff no tie lies within
+    # table.before[:j-1] nor within table.after[j-1:].
+    first_tie = next((s for s in range(ctx.cols - 2) if before[s + 1] == before[s + 2]), ctx.cols)
+    last_tie = max((s for s in range(ctx.cols - 2) if after[s] == after[s + 1]), default=-1)
+    by_residue: dict[int, list[int]] = {}
+    for j, rest in enumerate(ctx.row_rest, 1):
+        by_residue.setdefault(rest % q, []).append(j)
 
-    def ranked(comp, v):
-        return comp_rank(comp[:v] + (comp[v] + 1,) + comp[v + 1:])
+    @cache
+    def passing(rest: int, rank: int) -> list[tuple[int, bool, int]]:
+        return [
+            (j, last_tie <= j - 2 <= first_tie and before[j - 1] != rank != after[j - 1], rank)
+            for j in by_residue[rest]
+            if table.syndrome(j, rank) == target
+        ]
 
-    # Lists are indexed by 1-based candidate column k. Unused ends hold 0, or
-    # -1 for ranks: a rank is never equal to -1 nor below it.
-    left = [0] + ctx.left + [0]
-    right = [0, 0] + ctx.right
-    L = [-1] + [ranked(y_comps[k - 1], left[k]) for k in range(1, cols)] + [-1, -1]
-    R = [-1, -1] + [ranked(y_comps[k - 2], right[k]) for k in range(2, cols + 1)] + [-1]
-    asc_l = [t * (L[t + 1] >= L[t]) for t in range(cols)]
-    asc_r = [t * (R[t + 1] >= R[t]) for t in range(cols + 1)]
-    differ_l = [L[t] != L[t + 1] for t in range(cols)]
-    differ_r = [R[t] != R[t + 1] for t in range(cols + 1)]
-    per_j = [
-        (
-            j,
-            sum(left[:j]) + sum(right[j + 1:]),
-            sum(asc_l[1:j - 1]) + sum(asc_r[j + 1:cols]),
-            all(differ_l[1:j - 1]) and all(differ_r[j + 1:cols]),
-            L[j - 1],
-            R[j + 1],
-        )
-        for j in range(1, cols + 1)
-    ]
-
-    # Symbols of the inserted column off the corner: row k takes up[k] above
-    # the deleted row and down[k] below it.
-    up = [0] + ctx.up
-    down = [0, 0] + ctx.down
-    counts = [0] * q
-    for v in down[2:]:
-        counts[v] += 1
     hits = []
-    for i in range(1, rows + 1):
-        if i > 1:
-            counts[up[i - 1]] += 1
-            counts[down[i]] -= 1
-        corner_ranks: dict[int, int] = {}
-        for j, row_sum, weight, distinct, before, after in per_j:
-            v = (fb[i - 1] - row_sum) % q
-            rank = corner_ranks.get(v)
-            if rank is None:
-                rank = corner_ranks[v] = ranked(tuple(counts), v)
-            if (weight + (j - 1) * (rank >= before) + j * (after >= rank)) % cols == target:
-                hits.append((i, j, distinct and before != rank != after))
+    for i in range(1, ctx.rows + 1):
+        row = [
+            hit for rest in by_residue
+            for hit in passing(rest, table.inserted_rank(i, (ctx.full_b[i - 1] - rest) % q))
+        ]
+        hits += [(i, *hit) for hit in sorted(row)]
     return hits
-
-
-def row_rank_screen(
-    y: Array2D, a: tuple[int, ...], full_b: tuple[int, ...], target: int
-) -> set[tuple[int, int]]:
-    """Hypotheses (i, j) whose candidate has row-rank signature syndrome target.
-
-    This is the column-rank screen of the transposed minor, where (i, j)
-    reads (j, i). There the corner is forced by column j's sum rather than
-    row i's, which is the same value whenever sum(a) == sum(full_b) mod q.
-    """
-    ctx = ScanContext(transpose(y), full_b, a)
-    return {(i, j) for j, i, _ in column_rank_screen(ctx, target)}
 
 
 def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
@@ -203,7 +218,7 @@ def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
     return (*bands, inversions(cells) % 2)
 
 
-def disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
+def _disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
     """1-based index of a band whose rows avoid the row interval."""
     lo, hi = row_interval
     for k in range(1, 4):
@@ -230,7 +245,7 @@ def resolve_deletion(
         # hypothesis, so its parity tests the column alone. Its columns with
         # the missing one at j + 1 are those with it at j but for one
         # adjacent swap: equal columns tie, else one parity matches.
-        k = disjoint_band(l, row_interval)
+        k = _disjoint_band(l, row_interval)
         band = tuple(zip(*ctx.candidate_rows(lo, j)[(k - 1) * l:k * l]))
         col_exact = band[j - 1] != band[j]
         if col_exact and inversions(band) % 2 != d[k - 1]:

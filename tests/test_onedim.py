@@ -12,6 +12,7 @@ from crisscross.errors import InvalidParameterError, NotACodewordError
 from crisscross.onedim import (
     comp_rank,
     composition,
+    inserted_syndrome,
     inversions,
     one_deletion_ball,
     runs_count,
@@ -37,6 +38,38 @@ def test_signature_syndrome_constant_sequence():
     for n in range(2, 9):
         x = (3,) * n
         assert signature_syndrome(x, n) == (n * (n - 1) // 2) % n
+
+
+_ENTRIES = st.sampled_from([st.integers(0, 3), st.tuples(st.integers(0, 1), st.integers(0, 1))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ENTRIES.flatmap(lambda e: st.lists(e, max_size=40)), st.integers(1, 45))
+def test_signature_syndrome_matches_the_generator_definition(x, n):
+    # over int tuples and row tuples, which the decoders compare as rir
+    x = tuple(x)
+    if not x:
+        with pytest.raises(InvalidParameterError):
+            signature_syndrome(x, n)
+        return
+    want = sum(i for i, bit in enumerate(signature(x), start=1) if bit) % n
+    assert signature_syndrome(x, n) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12).flatmap(lambda m: st.tuples(
+        _ENTRIES.flatmap(lambda e: st.tuples(
+            st.lists(e, min_size=m, max_size=m), st.lists(e, min_size=m, max_size=m), e,
+        )),
+        st.integers(1, m + 1),
+    ))
+)
+def test_inserted_syndrome_is_the_syndrome_of_the_insertion(case):
+    (before, after, v), p = case
+    n = len(before) + 1
+    want = signature_syndrome((*before[:p - 1], v, *after[p - 1:]), n)
+    assert inserted_syndrome(before, after, n)(p, v) == want
 
 
 def test_vt_syndromes_pair():

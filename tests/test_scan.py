@@ -3,12 +3,14 @@ scan decoders that agree with an unscreened scan over every hypothesis."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crisscross import scan
 from crisscross.code_c1 import c1_check, c1_decode, c1_syndromes
 from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
 from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols
@@ -21,7 +23,6 @@ from crisscross.scan import (
     move_last,
     parity_bits,
     resolve_deletion,
-    row_rank_screen,
     scan_verdict,
 )
 from crisscross.verify import sample_good, sample_valid
@@ -95,19 +96,21 @@ def test_rank_screens_match_per_hypothesis_brute_force(case):
     family, p, y = case
     ctx = ScanContext(y, p.a, p.full_b)
     col_target = p.c if family == "c1" else p.c[0]
+    cols, rows = ctx.col_ranks, ctx.row_ranks
     want = []
     for i, j, (new_row, new_col) in _hypotheses(ctx):
+        x = ctx.assemble(i, j)
+        comps = ccr(x)
+        assert ctx.corner(i, j) == new_row[j - 1] == new_col[i - 1]
+        col_rank = cols.inserted_rank(i, ctx.corner(i, j))
+        assert col_rank == comp_rank(composition(new_col, x.q))
+        assert cols.ranks(j, col_rank) == tuple(map(comp_rank, comps))
         if _reference_col_syndrome(ctx, j, new_row, new_col) == col_target:
-            comps = ccr(ctx.assemble(i, j))
-            want.append((i, j, all(u != v for u, v in zip(comps, comps[1:]))))
+            want.append((i, j, all(u != v for u, v in zip(comps, comps[1:])), col_rank))
+        row_rank = rows.inserted_rank(j, ctx.corner(i, j))
+        assert rows.ranks(i, row_rank) == tuple(map(comp_rank, rcr(x)))
+        assert rows.syndrome(i, row_rank) == _reference_row_syndrome(ctx, i, new_row, new_col)
     assert column_rank_screen(ctx, col_target) == want
-    if family == "c2":
-        want_rows = {
-            (i, j)
-            for i, j, (new_row, new_col) in _hypotheses(ctx)
-            if _reference_row_syndrome(ctx, i, new_row, new_col) == p.c[1]
-        }
-        assert row_rank_screen(y, p.a, p.full_b, p.c[1]) == want_rows
 
 
 def _column_int(rows, j, q):
@@ -289,3 +292,70 @@ def test_c2_scan_matches_unscreened_scan(rows, cols, l, seed):
     )
     for y in _minors(rng, x, 8):
         assert _outcome(c2_decode, y, p, "scan") == _outcome(_reference_scan, y, p, c2_check)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scan_cases())
+def test_scan_decoders_match_unscreened_scan_on_small_classes(case):
+    family, p, y = case
+    decode, check = (c1_decode, c1_check) if family == "c1" else (c2_decode, c2_check)
+    assert _outcome(decode, y, p, "scan") == _outcome(_reference_scan, y, p, check)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to each named package function through every module's binding of it."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("crisscross"):
+            for name in names & vars(module).keys():
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    return calls
+
+
+@pytest.mark.parametrize("family", ["c1", "c2"])
+def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monkeypatch, family):
+    # one column screen per decode; the row syndrome comes off the same
+    # context, and the final test takes the screens' ranks, not c*_check
+    if family == "c1":
+        rng, x, p = _non_uniform(lambda r: sample_good(10, 2, r), c1_syndromes, 31)
+        decode, targets = c1_decode, (p.c, p.d)
+
+        def syndromes(cand):
+            ranks = tuple(map(comp_rank, ccr(cand)))
+            return signature_syndrome(ranks, p.n), signature_syndrome(cand.cells, p.n)
+    else:
+        rng, x, p = _non_uniform(
+            lambda r: sample_valid(12, 9, 2, 3, r), lambda x: c2_syndromes(x, 3), 31
+        )
+        decode, targets = c2_decode, p.c
+
+        def syndromes(cand):
+            return (signature_syndrome(tuple(map(comp_rank, ccr(cand))), p.cols),
+                    signature_syndrome(tuple(map(comp_rank, rcr(cand))), p.rows))
+    minors = list(_minors(rng, x, 6))
+    passing = []
+    for y in minors:
+        ctx = ScanContext(y, p.a, p.full_b)
+        passing.append(sum(syndromes(ctx.assemble(i, j)) == targets for i, j, _ in _hypotheses(ctx)))
+    assert min(passing[:6]) >= 1  # the true minors
+    calls = _count_calls(monkeypatch, {"c1_check", "c2_check", "comp_ranks", "transpose"})
+    built = Counter()
+    for cls in (scan.ScanContext, Array2D):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *args, _init=init, _cls=cls: built.update([_cls]) or _init(self, *args),
+        )
+    for y, most in zip(minors, passing):
+        built.clear()
+        _outcome(decode, y, p, "scan")
+        assert built[scan.ScanContext] == 1
+        assert built[Array2D] <= most
+    assert not calls

@@ -3,7 +3,8 @@
 Modules share helpers only through public names, import only at module level
 and only what they use, call every private function they define, and choose a
 construction through the table in params_io rather than by testing parameter
-types.
+types. The decoder helpers in scan.py exist for the constructions, so each
+public one is used by another module.
 """
 import ast
 from pathlib import Path
@@ -101,4 +102,18 @@ def test_every_private_function_is_used_in_its_own_module():
             and not node.name.startswith("__")
             and node.name not in used
         ]
+    assert not bad
+
+
+def test_every_public_scan_function_is_used_by_another_module():
+    trees = dict(_trees())
+    used_elsewhere = set().union(*(_loaded_names(tree) for name, tree in trees.items()
+                                   if name != "scan.py"))
+    bad = [
+        f"scan.py:{node.lineno} {node.name}"
+        for node in trees["scan.py"].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used_elsewhere
+    ]
     assert not bad
