@@ -56,8 +56,8 @@ class RankTable:
     """Composition ranks of the candidates' lines along one axis (columns or
     rows). With the inserted line at p, line k < p (k > p) is minor line k
     (k-1) plus its forced symbol of that side, ranked before[k-1] (after[k-2]).
-    The inserted line holds the corner and the other axis's forced symbols
-    at its own inserted line's position p', counted in counts[p']."""
+    The inserted line holds the corner and one forced symbol per minor line of
+    the other axis, counted in counts[p'] if that axis's inserted line is at p'."""
 
     def __init__(self, lines, before, after, cross_before, cross_after, q: int):
         comps = [composition(line, q) for line in lines]

@@ -343,7 +343,8 @@ def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monk
     passing = []
     for y in minors:
         ctx = ScanContext(y, p.a, p.full_b)
-        passing.append(sum(syndromes(ctx.assemble(i, j)) == targets for i, j, _ in _hypotheses(ctx)))
+        cands = (ctx.assemble(i, j) for i, j, _ in _hypotheses(ctx))
+        passing.append(sum(syndromes(cand) == targets for cand in cands))
     assert min(passing[:6]) >= 1  # the true minors
     calls = _count_calls(monkeypatch, {"c1_check", "c2_check", "comp_ranks", "transpose"})
     built = Counter()
