@@ -29,6 +29,7 @@ from .core_array import (
     array_from_text,
     array_to_text,
     delete_rows_cols,
+    random_pattern,
 )
 from .errors import (
     AmbiguityError,
@@ -38,6 +39,7 @@ from .errors import (
     NotACodewordError,
 )
 from .params_io import CONSTRUCTIONS, codebook_from_text, construction_of, params_from_text
+from .scan import decode_route
 from .verify import DEFAULT_TRIAL_BUDGET, TrialConfig, simulate_trials, verify_codebook
 
 EXIT_OK = 0
@@ -140,20 +142,6 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             raise InvalidParameterError("give both --row-start and --col-start or neither")
         if explicit:
             pattern = BurstPattern(args.row_start, args.col_start, args.tr, args.tc)
-        else:
-            if args.seed is None:
-                raise InvalidParameterError("a random burst window needs --seed")
-            rng = random.Random(args.seed)
-            pattern = BurstPattern(
-                rng.randint(1, x.rows - args.tr + 1),
-                rng.randint(1, x.cols - args.tc + 1),
-                args.tr,
-                args.tc,
-            )
-        record = (
-            f"pattern=burst row_start={pattern.row_start} col_start={pattern.col_start} "
-            f"tr={pattern.t_r} tc={pattern.t_c}"
-        )
     else:
         explicit = args.rows is not None or args.cols is not None
         if explicit and (args.rows is None or args.cols is None):
@@ -162,14 +150,18 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             pattern = DeletionPattern(
                 _parse_positions(args.rows, "row"), _parse_positions(args.cols, "column")
             )
-        else:
-            if args.seed is None:
-                raise InvalidParameterError("a random deletion pattern needs --seed")
-            rng = random.Random(args.seed)
-            pattern = DeletionPattern(
-                tuple(sorted(rng.sample(range(1, x.rows + 1), args.tr))),
-                tuple(sorted(rng.sample(range(1, x.cols + 1), args.tc))),
-            )
+    if not explicit:
+        if args.seed is None:
+            what = "burst window" if args.burst else "deletion pattern"
+            raise InvalidParameterError(f"a random {what} needs --seed")
+        rng = random.Random(args.seed)
+        pattern = random_pattern(rng, x.rows, x.cols, args.tr, args.tc, args.burst)
+    if args.burst:
+        record = (
+            f"pattern=burst row_start={pattern.row_start} col_start={pattern.col_start} "
+            f"tr={pattern.t_r} tc={pattern.t_c}"
+        )
+    else:
         rows = ",".join(str(v) for v in pattern.rows)
         cols = ",".join(str(v) for v in pattern.cols)
         record = f"pattern=plain rows={rows} cols={cols}"
@@ -183,9 +175,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     p = params_from_text(_read_text(args.params))
     y = array_from_text(_read_text(args.received))
     construction = construction_of(p)
-    if args.path not in construction.paths:
-        offers = "a single path" if len(construction.paths) == 1 else f"paths {construction.paths}"
-        raise InvalidParameterError(f"the {construction.name} decoder has {offers}")
+    if args.path not in construction.paths:  # the choices are c1's and c2's paths
+        raise InvalidParameterError(f"the {construction.name} decoder has a single path")
+    if len(construction.paths) > 1:  # a refused route is a parameter error too
+        decode_route(args.path, p.uniform)
     t0 = time.perf_counter()
     # A well-formed array of the wrong shape is a decode failure, not an
     # input error: nothing with that shape lies in any codeword's ball.

@@ -23,7 +23,14 @@ from .errors import (
 )
 from .onedim import inserted_syndrome, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .scan import ScanContext, column_rank_screen, comp_ranks, move_last, scan_verdict
+from .scan import (
+    ScanContext,
+    column_rank_screen,
+    comp_ranks,
+    decode_route,
+    move_last,
+    scan_verdict,
+)
 
 
 @dataclass(frozen=True)
@@ -113,16 +120,9 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
     tables, then tested bar the sums (which it has by construction); ball
     disjointness of the class makes at most one survivor possible.
     """
-    if path not in ("auto", "fast", "scan"):
-        raise InvalidParameterError(f"unknown decode path {path!r}")
+    path = decode_route(path, p.uniform)
     require_shape(y, p.n - 1, p.n - 1, p.q, "a single deletion")
-    if path == "auto":
-        path = "fast" if p.uniform else "scan"
-    if path == "fast":
-        if not p.uniform:
-            raise InvalidParameterError("fast path requires uniform column and row sums")
-        return _decode_fast(y, p)
-    return _decode_scan(y, p)
+    return _decode_fast(y, p) if path == "fast" else _decode_scan(y, p)
 
 
 def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:

@@ -23,6 +23,7 @@ from .scan import (
     ScanContext,
     column_rank_screen,
     comp_ranks,
+    decode_route,
     move_last,
     parity_bits,
     resolve_deletion,
@@ -71,12 +72,6 @@ class C2Params:
             raise InvalidParameterError("composition syndromes must lie in [0, cols) x [0, rows)")
         if len(self.d) != 4 or any(bit not in (0, 1) for bit in self.d):
             raise InvalidParameterError("inversion parities must be four bits")
-
-    @property
-    def n(self) -> int:
-        if self.rows != self.cols:
-            raise InvalidParameterError("n is only defined for square parameters")
-        return self.rows
 
     @property
     def full_b(self) -> tuple[int, ...]:
@@ -167,13 +162,14 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     cols) completes the minor whatever the deleted positions. Run lengths
     above two contradict the no-triple-composition conditions.
     """
+    if not p.uniform:
+        raise InvalidParameterError("interval location requires uniform sums")
     return _locate(y, p)[1]
 
 
 def _locate(y: Array2D, p: C2Params):
-    """c2_locate_intervals, plus its ScanContext and the completion's composition ranks."""
-    if not p.uniform:
-        raise InvalidParameterError("interval location requires uniform sums")
+    """c2_locate_intervals on a class with uniform sums, plus its ScanContext
+    and the completion's composition ranks."""
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
     ctx = ScanContext(y, p.a, p.full_b)
     rows = ctx.candidate_rows(p.rows, p.cols)
@@ -197,14 +193,9 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
     row using the row-integer parity. General path: the column-rank screen, the
     row-rank syndrome of each hit off the same tables, then membership bar the sums.
     """
-    if path not in ("auto", "fast", "scan"):
-        raise InvalidParameterError(f"unknown decode path {path!r}")
+    path = decode_route(path, p.uniform)
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
-    if path == "auto":
-        path = "fast" if p.uniform else "scan"
-    if path == "fast":
-        return _decode_fast(y, p)
-    return _decode_scan(y, p)
+    return _decode_fast(y, p) if path == "fast" else _decode_scan(y, p)
 
 
 def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:

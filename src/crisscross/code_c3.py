@@ -128,14 +128,11 @@ def _slot(sub: Array2D, l: int) -> tuple:
     return sub.col_sums(), sub.row_sums()[:-1], parity_bits(sub, l)
 
 
-def _grids(subs, l: int, anchor: C2Params | None = None) -> tuple[SumGrid, SumGrid, BitGrid]:
+def _grids(subs, l: int, anchor: C2Params) -> tuple[SumGrid, SumGrid, BitGrid]:
     """The (a, b, d) grids of the subarrays. The anchor slot is read off
-    anchor, the anchor subarray's c2 class, when it is given."""
+    anchor, the anchor subarray's c2 class."""
     slots = [
-        [
-            _slot(sub, l) if anchor is None or (s, u) != (0, 0) else (anchor.a, anchor.b, anchor.d)
-            for u, sub in enumerate(row)
-        ]
+        [_slot(sub, l) if s or u else (anchor.a, anchor.b, anchor.d) for u, sub in enumerate(row)]
         for s, row in enumerate(subs)
     ]
     return tuple(tuple(tuple(slot[k] for slot in row) for row in slots) for k in range(3))

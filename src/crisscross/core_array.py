@@ -27,21 +27,12 @@ class Array2D:
             raise InvalidParameterError(f"alphabet size must be at least 2, got {q}")
         norm = tuple(map(tuple, cells))
         # Clean input (nonempty, rectangular, every cell an int in [0, q))
-        # passes C-level checks: for q <= 256 by packing the cells into bytes
-        # (see _packed_cells), for larger alphabets by scanning the cell types,
-        # min and max. Anything else is normalised and checked cell by cell,
-        # which names the first fault.
-        flat = itertools.chain.from_iterable
+        # over q <= 256 passes C-level checks by packing the cells into bytes
+        # (see _packed_cells). Anything else is normalised and checked cell
+        # by cell, which names the first fault.
         clean = None
-        if norm and norm[0] and len(set(map(len, norm))) == 1:
-            if q <= 256:
-                clean = _packed_cells(norm, q)
-            elif (
-                set(map(type, flat(norm))) == {int}
-                and min(flat(norm)) >= 0
-                and max(flat(norm)) < q
-            ):
-                clean = norm
+        if q <= 256 and norm and norm[0] and len(set(map(len, norm))) == 1:
+            clean = _packed_cells(norm, q)
         cells = _checked_cells(norm, q) if clean is None else clean
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cells", cells)
@@ -154,6 +145,24 @@ class BurstPattern:
 
     def cols(self) -> tuple[int, ...]:
         return tuple(range(self.col_start, self.col_start + self.t_c))
+
+
+def random_pattern(
+    rng, rows: int, cols: int, t_r: int, t_c: int, burst: bool
+) -> DeletionPattern | BurstPattern:
+    """A random (t_r, t_c) deletion pattern for a rows x cols array, drawn
+    from rng: uniform index sets, or for a burst uniform window starts."""
+    if not (0 <= t_r < rows and 0 <= t_c < cols):
+        raise InvalidParameterError(
+            f"widths ({t_r}, {t_c}) must leave at least one row and column of {rows}x{cols}"
+        )
+    if burst:
+        return BurstPattern(
+            rng.randint(1, rows - t_r + 1), rng.randint(1, cols - t_c + 1), t_r, t_c
+        )
+    return DeletionPattern(
+        tuple(rng.sample(range(1, rows + 1), t_r)), tuple(rng.sample(range(1, cols + 1), t_c))
+    )
 
 
 def delete_rows_cols(x: Array2D, pattern: DeletionPattern | BurstPattern) -> Array2D:
@@ -337,45 +346,26 @@ def insertion_ball_raw(
     mass = col_pos * q ** (t_c * n) * row_pos * q ** (t_r * (m + t_c))
     if mass > cap:
         raise CapacityError(f"insertion candidate mass {mass} exceeds cap {cap}")
+    columns = _insert_lines([tuple(zip(*x.cells))], m, n, t_c, q, burst)
+    widened = {tuple(zip(*cols)) for cols in columns}
+    # A frozenset copied from a set gets a table sized to its count, half
+    # the size that growing one from the generator leaves: it intersects faster.
+    return frozenset(set(_insert_lines(widened, n, m + t_c, t_r, q, burst)))
 
-    if burst:
-        col_slots = [tuple(range(s, s + t_c)) for s in range(m + 1)]
-        row_slots = [tuple(range(s, s + t_r)) for s in range(n + 1)]
-    else:
-        col_slots = list(itertools.combinations(range(m + t_c), t_c))
-        row_slots = list(itertools.combinations(range(n + t_r), t_r))
 
-    widened = set()
-    col_fills = list(itertools.product(range(q), repeat=t_c * n))
-    for slots in col_slots:
-        slot_set = set(slots)
-        old_order = [j for j in range(m + t_c) if j not in slot_set]
-        for fill in col_fills:
-            rows_out = []
-            for r, row in enumerate(x.cells):
-                new_row = [0] * (m + t_c)
-                for k, j in enumerate(old_order):
-                    new_row[j] = row[k]
-                for k, j in enumerate(slots):
-                    new_row[j] = fill[k * n + r]
-                rows_out.append(tuple(new_row))
-            widened.add(tuple(rows_out))
-
-    result = set()
-    width = m + t_c
-    row_fills = list(itertools.product(range(q), repeat=t_r * width))
-    for cells in widened:
-        for slots in row_slots:
-            slot_set = set(slots)
-            old_order = [i for i in range(n + t_r) if i not in slot_set]
-            for fill in row_fills:
-                out = [None] * (n + t_r)
-                for k, i in enumerate(old_order):
-                    out[i] = cells[k]
-                for k, i in enumerate(slots):
-                    out[i] = fill[k * width:(k + 1) * width]
-                result.add(tuple(out))
-    return frozenset(result)
+def _insert_lines(tables, size: int, width: int, t: int, q: int, burst: bool):
+    """Yield each table of size lines of width symbols with t new lines
+    inserted at the 0-based places of a deletion set of _drops, for every
+    table, set and fill of the new lines."""
+    fills = list(itertools.product(itertools.product(range(q), repeat=width), repeat=t))
+    drops = _drops(size + t, t, burst)
+    for lines in tables:
+        for places in drops:
+            for fill in fills:
+                merged = list(lines)
+                for place, line in zip(places, fill):  # ascending, so each lands at place
+                    merged.insert(place, line)
+                yield tuple(merged)
 
 
 def extract_residue_subarray(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int) -> Array2D:

@@ -42,7 +42,7 @@ from itertools import accumulate
 from operator import sub
 
 from .core_array import Array2D
-from .errors import AmbiguityError, CodePropertyError, InvalidParameterError, NotACodewordError
+from .errors import AmbiguityError, InvalidParameterError, NotACodewordError
 from .onedim import comp_rank, composition, inserted_syndrome, inversions
 from .outcome import DecodeOutcome
 
@@ -141,6 +141,18 @@ class ScanContext:
         return Array2D(self.candidate_rows(i_hyp, j_hyp), self.q)
 
 
+def decode_route(path: str, uniform: bool) -> str:
+    """The c1 or c2 decode path to run for the requested one: "auto" runs
+    "fast" exactly for uniform sums, which "fast" requires."""
+    if path not in ("auto", "fast", "scan"):
+        raise InvalidParameterError(f"unknown decode path {path!r}")
+    if path == "auto":
+        return "fast" if uniform else "scan"
+    if path == "fast" and not uniform:
+        raise InvalidParameterError("fast path requires uniform column and row sums")
+    return path
+
+
 def comp_ranks(seqs, q: int) -> tuple[int, ...]:
     """Rank of each sequence's composition over q."""
     return tuple(comp_rank(composition(seq, q)) for seq in seqs)
@@ -218,15 +230,6 @@ def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
     return (*bands, inversions(cells) % 2)
 
 
-def _disjoint_band(l: int, row_interval: tuple[int, int]) -> int:
-    """1-based index of a band whose rows avoid the row interval."""
-    lo, hi = row_interval
-    for k in range(1, 4):
-        if k * l < lo or (k - 1) * l + 1 > hi:
-            return k
-    raise CodePropertyError("no band avoids the row interval")
-
-
 def resolve_deletion(
     ctx: ScanContext, l: int, d: tuple[int, int, int, int],
     row_interval: tuple[int, int], col_interval: tuple[int, int],
@@ -244,8 +247,10 @@ def resolve_deletion(
         # A band that avoids the row interval reads the same under either row
         # hypothesis, so its parity tests the column alone. Its columns with
         # the missing one at j + 1 are those with it at j but for one
-        # adjacent swap: equal columns tie, else one parity matches.
-        k = _disjoint_band(l, row_interval)
+        # adjacent swap: equal columns tie, else one parity matches. Band 1
+        # avoids an interval that starts below it; else lo <= l, band 2
+        # avoids it if hi <= l, and band 3 does as hi <= lo + 1 <= 2 * l.
+        k = 1 if lo > l else 2 if hi <= l else 3
         band = tuple(zip(*ctx.candidate_rows(lo, j)[(k - 1) * l:k * l]))
         col_exact = band[j - 1] != band[j]
         if col_exact and inversions(band) % 2 != d[k - 1]:

@@ -26,14 +26,13 @@ from .code_c2 import c2_syndromes, default_band_height
 from .code_c3 import c3_syndromes
 from .core_array import (
     Array2D,
-    BurstPattern,
-    DeletionPattern,
     burst_deletion_ball_raw,
     delete_rows_cols,
     deletion_ball_raw,
     deletion_brackets,
     insertion_ball_raw,
     interleave_residue_subarrays,
+    random_pattern,
     require_shape,
 )
 from .errors import (
@@ -632,17 +631,12 @@ def simulate_trials(cfg: TrialConfig) -> TrialStats:
     for index in range(cfg.trials):
         rng = random.Random(_subseed(cfg.seed, index))
         x, params = _draw(cfg, rng)
-        if cfg.burst:  # burst constructions refuse configs without it
-            r0 = rng.randint(1, cfg.n - cfg.t_r + 1)
-            c0 = rng.randint(1, cfg.n - cfg.t_c + 1)
-            pattern = BurstPattern(r0, c0, cfg.t_r, cfg.t_c)
+        # burst constructions refuse configs without cfg.burst
+        pattern = random_pattern(rng, cfg.n, cfg.n, cfg.t_r, cfg.t_c, cfg.burst)
+        if cfg.burst:
             rows, cols = pattern.rows(), pattern.cols()
-            row_truth, col_truth = r0, c0
         else:
-            rows = tuple(sorted(rng.sample(range(1, cfg.n + 1), cfg.t_r)))
-            cols = tuple(sorted(rng.sample(range(1, cfg.n + 1), cfg.t_c)))
-            pattern = DeletionPattern(rows, cols)
-            row_truth, col_truth = rows[0], cols[0]
+            rows, cols = pattern.rows, pattern.cols
         y = delete_rows_cols(x, pattern)
 
         start = time.perf_counter()
@@ -650,8 +644,8 @@ def simulate_trials(cfg: TrialConfig) -> TrialStats:
             out = decode(y, params)
             ok = (
                 out.array == x
-                and out.row_interval[0] <= row_truth <= out.row_interval[1]
-                and out.col_interval[0] <= col_truth <= out.col_interval[1]
+                and out.row_interval[0] <= rows[0] <= out.row_interval[1]
+                and out.col_interval[0] <= cols[0] <= out.col_interval[1]
             )
         except CrissCrossError:
             ok = False

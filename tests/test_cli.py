@@ -8,6 +8,7 @@ import pytest
 
 from crisscross.cli import main
 from crisscross.code_c1 import C1Params, c1_syndromes
+from crisscross.code_c2 import c2_syndromes
 from crisscross.code_c3 import c3_syndromes
 from crisscross.core_array import (
     Array2D,
@@ -142,11 +143,27 @@ def test_corrupt_explicit_patterns(capsys, tmp_path, c1_files):
     )
 
 
+def test_corrupt_random_burst_is_seeded(capsys, tmp_path, c1_files):
+    x, _, arr = c1_files
+    out = tmp_path / "y.array"
+    for _ in range(2):
+        assert main([
+            "corrupt", "--array", str(arr), "--burst", "--tr", "2", "--tc", "1",
+            "--seed", "11", "--output", str(out),
+        ]) == 0
+        # frozen: the window starts random.Random(11) draws for a 5x5 array
+        assert capsys.readouterr().err == "pattern=burst row_start=4 col_start=5 tr=2 tc=1\n"
+        assert array_from_text(out.read_text()) == delete_rows_cols(x, BurstPattern(4, 5, 2, 1))
+
+
 def test_corrupt_argument_errors(capsys, tmp_path, c1_files):
     _, _, arr = c1_files
     assert main(["corrupt", "--array", str(arr), "--rows", "2"]) == 2
     assert main(["corrupt", "--array", str(arr)]) == 2  # no pattern, no seed
     assert main(["corrupt", "--array", str(arr), "--burst"]) == 2
+    # random patterns too wide for the 5x5 array are refused before drawing
+    assert main(["corrupt", "--array", str(arr), "--tr", "9", "--seed", "1"]) == 2
+    assert main(["corrupt", "--array", str(arr), "--burst", "--tr", "7", "--seed", "1"]) == 2
     capsys.readouterr()
 
 
@@ -159,6 +176,31 @@ def test_decode_wrong_shape_is_a_decode_failure(capsys, tmp_path, c1_files):
     capsys.readouterr()
     assert main(["decode", "--params", str(params), "--received", str(twice)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["c1", "c2"])
+def test_decode_route_errors_exit_2_and_wrong_shapes_exit_3(capsys, tmp_path, family):
+    rng = random.Random(6)
+    params = tmp_path / "p.params"
+    minor = tmp_path / "y.array"
+    for uniform in (False, True):
+        if family == "c1":
+            x = sample_good(5, 3, rng, uniform_sums=uniform)
+            p = c1_syndromes(x)
+        else:
+            x = sample_valid(6, 6, 3, 1, rng, uniform_sums=uniform)
+            p = c2_syndromes(x, 1)
+        assert p.uniform == uniform
+        params.write_text(params_to_text(p))
+        for rows, exit_code in (((2,), 0), ((2, 3), 3)):
+            minor.write_text(array_to_text(delete_rows_cols(x, DeletionPattern(rows, (3,)))))
+            args = ["decode", "--params", str(params), "--received", str(minor), "--path", "fast"]
+            if uniform:  # a wrong-shaped minor is a decode failure
+                assert main(args) == exit_code
+            else:  # the fast path needs uniform sums, whatever the minor's shape
+                assert main(args) == 2
+                assert "fast path requires uniform" in capsys.readouterr().err
+            capsys.readouterr()
 
 
 def test_decode_ambiguous_instance_exits_4(capsys, tmp_path):

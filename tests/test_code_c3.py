@@ -261,9 +261,8 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
         subs[0][1] = tampered
         x = interleave_residue_subarrays(subs, 2, 2)
     p = c3_syndromes(x, 2, 2, 1)
-    assert (code_c3._grids([[subs[0][0], tampered], subs[1]], 1) == (p.a, p.b, p.d)) == (
-        broken == "weak validity"
-    )
+    grids = code_c3._grids([[subs[0][0], tampered], subs[1]], 1, p.anchor)
+    assert (grids == (p.a, p.b, p.d)) == (broken == "weak validity")
     real = code_c3.resolve_deletion
     calls = []
 

@@ -18,6 +18,7 @@ from crisscross.core_array import (
     delete_rows_cols,
     deletion_ball,
     deletion_ball_raw,
+    deletion_brackets,
     enumerate_arrays,
     extract_residue_subarray,
     insertion_ball_raw,
@@ -102,6 +103,7 @@ def _outcome(build, cells, q):
         ([], 2, ("error", "arrays must have at least one row and one column")),
         ([[]], 2, ("error", "arrays must have at least one row and one column")),
         ([[], [0]], 2, ("error", "arrays must have at least one row and one column")),
+        ([[0, 999_999], [7, 300]], 10**6, ((0, 999_999), (7, 300))),
     ],
 )
 def test_array_normalises_and_rejects_like_per_cell_checks(cells, q, expected):
@@ -127,7 +129,7 @@ def test_array_with_huge_alphabet_allocates_nothing_alphabet_sized():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.sampled_from([2, 3, 4, 255, 256, 257]),
+    st.sampled_from([2, 3, 4, 255, 256, 257, 10**6]),
     st.lists(
         st.lists(
             st.one_of(
@@ -142,7 +144,8 @@ def test_array_with_huge_alphabet_allocates_nothing_alphabet_sized():
     ),
 )
 def test_array_agrees_with_per_cell_reference(q, cells):
-    # q <= 256 validates by packing the cells into bytes, q > 256 by scans
+    # q <= 256 validates by packing the cells into bytes, q > 256 cell by
+    # cell; at q = 10**6 every nonnegative int cell drawn here is clean
     assert _outcome(_array_cells, cells, q) == _outcome(_reference_cells, cells, q)
 
 
@@ -217,6 +220,25 @@ def test_insertion_ball_matches_brute_force():
     }
     assert ball == frozenset(direct)
     assert len(ball) == 178  # frozen from the brute force above
+
+
+@pytest.mark.parametrize("burst", [False, True])
+@pytest.mark.parametrize("t_r, t_c", [(1, 1), (1, 0), (0, 1)])
+def test_insertion_ball_is_the_set_of_arrays_whose_ball_holds_x(t_r, t_c, burst):
+    # every binary z of the grown shape, for each 2x2 binary x
+    ball = burst_deletion_ball_raw if burst else deletion_ball_raw
+    for x in enumerate_arrays(2, 2, 2):
+        if t_r and t_c:
+            members = {
+                z.cells for z in enumerate_arrays(2 + t_r, 2 + t_c, 2)
+                if deletion_brackets(z, x, t_r, t_c, burst) is not None
+            }
+        else:  # deletion_brackets needs both widths positive
+            members = {
+                z.cells for z in enumerate_arrays(2 + t_r, 2 + t_c, 2)
+                if x.cells in ball(z, t_r, t_c)
+            }
+        assert insertion_ball_raw(x, t_r, t_c, burst) == frozenset(members)
 
 
 def test_enumerate_arrays_count_and_cap():

@@ -221,6 +221,52 @@ def test_vt_decode_known_symbol_exhaustive_small():
             assert lo <= p + 1 <= hi
 
 
+def _check_insertions_by_syndrome(y, v):
+    """Insert v into y at each of the n = len(y) + 1 positions and group the
+    positions by the signature syndrome mod n of the result: each group is
+    one run with one reconstruction, and vt_decode_known_symbol returns it.
+    Returns the number of groups."""
+    n = len(y) + 1
+    groups = {}
+    for p in range(1, n + 1):
+        z = y[:p - 1] + (v,) + y[p - 1:]
+        groups.setdefault(signature_syndrome(z, n), {}).setdefault(z, []).append(p)
+    for a in range(n):
+        if a not in groups:
+            with pytest.raises(NotACodewordError):
+                vt_decode_known_symbol(y, v, a, n)
+            continue
+        ((z, positions),) = groups[a].items()
+        assert positions == list(range(positions[0], positions[-1] + 1))
+        assert vt_decode_known_symbol(y, v, a, n) == (z, (positions[0], positions[-1]))
+    return len(groups)
+
+
+def test_insertions_sharing_a_syndrome_form_one_run_exhaustive():
+    groups = 0
+    for q, max_n in ((2, 10), (3, 7), (4, 6), (5, 5), (6, 5)):
+        for n in range(1, max_n + 1):
+            for y in itertools.product(range(q), repeat=n - 1):
+                for v in range(q):
+                    groups += _check_insertions_by_syndrome(y, v)
+    assert groups == 104_630  # (y, v, syndrome) groups checked
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 24).flatmap(
+        lambda n: st.integers(2, n).flatmap(
+            lambda q: st.tuples(
+                st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1).map(tuple),
+                st.integers(0, q - 1),
+            )
+        )
+    )
+)
+def test_insertions_sharing_a_syndrome_form_one_run(case):
+    _check_insertions_by_syndrome(*case)
+
+
 def test_vt_decode_rejects_impossible_syndrome():
     # inserting 0 anywhere into (0, 0) gives syndrome 0, never 1
     with pytest.raises(NotACodewordError):

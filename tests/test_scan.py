@@ -14,7 +14,12 @@ from crisscross import scan
 from crisscross.code_c1 import c1_check, c1_decode, c1_syndromes
 from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
 from crisscross.core_array import Array2D, DeletionPattern, delete_rows_cols
-from crisscross.errors import AmbiguityError, CrissCrossError, NotACodewordError
+from crisscross.errors import (
+    AmbiguityError,
+    CrissCrossError,
+    InvalidParameterError,
+    NotACodewordError,
+)
 from crisscross.onedim import comp_rank, composition, inversions, signature_syndrome
 from crisscross.reprs import ccr, rcr, rir
 from crisscross.scan import (
@@ -229,6 +234,62 @@ def test_resolver_matches_parities_over_every_bracketed_candidate():
         seen["row tie" if row_tie else "col tie" if col_tie else "exact"] += 1
         assert got == (matches[0][1], None if row_tie else matches[0][0], None if col_tie else j)
     assert min(seen.values()) >= 5 and len(seen) == 5, seen
+
+
+def test_decode_route_takes_fast_exactly_for_uniform_sums():
+    routes = {
+        (path, u): scan.decode_route(path, u) for path in ("auto", "scan") for u in (True, False)
+    }
+    assert routes == {
+        ("auto", True): "fast", ("auto", False): "scan",
+        ("scan", True): "scan", ("scan", False): "scan",
+    }
+    assert scan.decode_route("fast", True) == "fast"
+    with pytest.raises(InvalidParameterError, match="requires uniform"):
+        scan.decode_route("fast", False)
+    with pytest.raises(InvalidParameterError, match="unknown decode path"):
+        scan.decode_route("residue", True)
+
+
+def _band_by_loop(l, lo, hi):
+    """The band resolve_deletion once took for a two-column bracket: the
+    first of the three bands whose rows avoid [lo, hi], if any."""
+    for k in range(1, 4):
+        if k * l < lo or (k - 1) * l + 1 > hi:
+            return k
+    return None
+
+
+def test_resolver_reads_the_first_band_that_avoids_the_row_bracket(monkeypatch):
+    # Every bracket of one or two rows, l <= 8, in 3l and 3l + 1 rows. Cells
+    # over a large alphabet keep the bands' two columns distinct, so the
+    # resolver always reads the parity of the band it chose, first.
+    rng = random.Random(31)
+    read = []
+
+    def spy(seq):
+        read.append(seq)
+        return inversions(seq)
+
+    monkeypatch.setattr(scan, "inversions", spy)
+    cases = 0
+    for l in range(1, 9):
+        for rows in (3 * l, 3 * l + 1):
+            y = [(rng.randrange(1000), rng.randrange(1000)) for _ in range(rows - 1)]
+            ctx = ScanContext(y, (5, 6, 7), tuple(range(rows)), 1000)
+            for lo, hi in ((lo, hi) for lo in range(1, rows + 1) for hi in (lo, lo + 1)):
+                if hi > rows:
+                    continue
+                read.clear()
+                try:
+                    resolve_deletion(ctx, l, (0, 0, 0, 0), (lo, hi), (1, 2))
+                except (NotACodewordError, AmbiguityError):
+                    pass
+                cand = ctx.candidate_rows(lo, 1)
+                bands = [tuple(zip(*cand[(k - 1) * l:k * l])) for k in (1, 2, 3)]
+                assert bands.index(read[0]) + 1 == _band_by_loop(l, lo, hi)
+                cases += 1
+    assert cases == 432
 
 
 def _reference_scan(y, p, check):
