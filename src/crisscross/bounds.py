@@ -25,8 +25,8 @@ from decimal import Decimal, localcontext
 from .core_array import (
     DEFAULT_ENUMERATION_CAP,
     Array2D,
-    deletion_ball_raw,
     enumerate_arrays,
+    packed_deletion_ball,
 )
 from .errors import CapacityError, InvalidParameterError
 from .reprs import is_l_valid
@@ -441,10 +441,10 @@ def caro_wei_witness(
     if vertices > cap:
         raise CapacityError(f"{vertices} vertices exceed the witness cap {cap}")
     arrays = list(enumerate_arrays(n, n, q))
-    balls = [deletion_ball_raw(x, t_r, t_c) for x in arrays]
+    balls = [packed_deletion_ball(x, t_r, t_c) for x in arrays]
     neighbors: list[set[int]] = [set() for _ in arrays]
     for i, j in itertools.combinations(range(len(arrays)), 2):
-        if balls[i] & balls[j]:
+        if not balls[i].isdisjoint(balls[j]):
             neighbors[i].add(j)
             neighbors[j].add(i)
 

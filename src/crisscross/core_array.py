@@ -203,15 +203,21 @@ def _picker(size: int, drop):
     return operator.itemgetter(*keep)
 
 
-def _minors(cells, row_drops, col_drops):
+def _minors(cells, row_drops, col_drops, packed=False):
     """Cells of the minor for every pair of 0-based row and column drop sets,
     column set outermost: each row is narrowed once per column set, then the
-    kept rows are picked from the narrowed table."""
+    kept rows are picked from the narrowed table. packed (cells below 256):
+    the narrowed rows are bytes, and a minor is its kept rows joined."""
     row_picks = [_picker(len(cells), drop) for drop in row_drops]
     for drop in col_drops:
         narrowed = tuple(map(_picker(len(cells[0]), drop), cells))
-        for pick in row_picks:
-            yield pick(narrowed)
+        if packed:
+            narrowed = tuple(map(bytes, narrowed))
+            for pick in row_picks:
+                yield b"".join(pick(narrowed))
+        else:
+            for pick in row_picks:
+                yield pick(narrowed)
 
 
 def _drops(size: int, t: int, burst: bool) -> list[tuple[int, ...]]:
@@ -222,11 +228,23 @@ def _drops(size: int, t: int, burst: bool) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(size), t))
 
 
-def _ball(x: Array2D, t_r: int, t_c: int, burst: bool) -> frozenset:
+def _ball(x: Array2D, t_r: int, t_c: int, burst: bool, packed: bool = False) -> frozenset:
     _check_ball_widths(x, t_r, t_c, burst)
     return frozenset(
-        _minors(x.cells, _drops(x.rows, t_r, burst), _drops(x.cols, t_c, burst))
+        _minors(x.cells, _drops(x.rows, t_r, burst), _drops(x.cols, t_c, burst), packed)
     )
+
+
+def packed_deletion_ball(x: Array2D, t_r: int, t_c: int, burst: bool = False) -> frozenset:
+    """One key per minor of x's (t_r, t_c) deletion ball (burst: burst deletion
+    ball): for q <= 256 its rows joined as bytes, which hash once, compare by
+    memcmp and sort as the cell tuples do; else its cell tuple."""
+    return _ball(x, t_r, t_c, burst, x.q <= 256)
+
+
+def unpack_minor(key, cols: int, q: int) -> Array2D:
+    """The minor, cols columns wide, whose packed_deletion_ball key is key."""
+    return Array2D(zip(*[iter(key)] * cols) if isinstance(key, bytes) else key, q)
 
 
 def deletion_ball_raw(x: Array2D, t_r: int, t_c: int) -> frozenset:

@@ -26,14 +26,14 @@ from .code_c2 import c2_syndromes, default_band_height
 from .code_c3 import c3_syndromes
 from .core_array import (
     Array2D,
-    burst_deletion_ball_raw,
     delete_rows_cols,
-    deletion_ball_raw,
     deletion_brackets,
     insertion_ball_raw,
     interleave_residue_subarrays,
+    packed_deletion_ball,
     random_pattern,
     require_shape,
+    unpack_minor,
 )
 from .errors import (
     AmbiguityError,
@@ -131,13 +131,13 @@ def verify_codebook(arrays, t_r: int, t_c: int, mode: str = "plain") -> Verifica
     Reports every violating pair together with one shared minor as a witness.
     The verdict is symmetric in the input order; only violation indices move.
     """
-    ball = burst_deletion_ball_raw if _is_burst(mode) else deletion_ball_raw
+    burst = _is_burst(mode)
     arrays = list(arrays)
     if len(arrays) ** 2 > PAIR_CAP:
         raise CapacityError(f"{len(arrays)} codewords make too many pairs to check")
     if arrays:
         _require_uniform_book(arrays)
-    balls = [ball(x, t_r, t_c) for x in arrays]
+    balls = [packed_deletion_ball(x, t_r, t_c, burst) for x in arrays]
     # A pair shares only minors lying in two or more balls, so the pairs are
     # intersected on those alone, and only for balls that hold any.
     seen: set = set()
@@ -150,7 +150,8 @@ def verify_codebook(arrays, t_r: int, t_c: int, mode: str = "plain") -> Verifica
     for (i, mine), (j, theirs) in itertools.combinations(owners, 2):
         shared = mine & theirs
         if shared:
-            violations.append(((i, j), Array2D(min(shared), arrays[i].q)))
+            witness = unpack_minor(min(shared), arrays[i].cols - t_c, arrays[i].q)
+            violations.append(((i, j), witness))
     return VerificationReport(
         checked_pairs=len(arrays) * (len(arrays) - 1) // 2,
         violations=tuple(violations),
@@ -168,11 +169,10 @@ def duality_check(x: Array2D, z: Array2D, t, burst: bool = False) -> bool:
     t_r, t_c = (t, t) if isinstance(t, int) else t
     if (x.rows, x.cols, x.q) != (z.rows, z.cols, z.q):
         raise InvalidParameterError("duality check needs equal shapes and alphabets")
-    ball = burst_deletion_ball_raw if burst else deletion_ball_raw
-    del_disjoint = not (ball(x, t_r, t_c) & ball(z, t_r, t_c))
-    ins_disjoint = not (
-        insertion_ball_raw(x, t_r, t_c, burst) & insertion_ball_raw(z, t_r, t_c, burst)
-    )
+    del_x = packed_deletion_ball(x, t_r, t_c, burst)
+    del_disjoint = del_x.isdisjoint(packed_deletion_ball(z, t_r, t_c, burst))
+    ins_x = insertion_ball_raw(x, t_r, t_c, burst)
+    ins_disjoint = ins_x.isdisjoint(insertion_ball_raw(z, t_r, t_c, burst))
     return del_disjoint == ins_disjoint
 
 
@@ -564,8 +564,8 @@ class TrialConfig:
             raise InvalidParameterError(
                 f"construction must be one of {tuple(CONSTRUCTIONS)}, got {self.construction!r}"
             )
-        if self.trials < 0 or self.n < 2 or self.q < 2 or self.budget < 1:
-            raise InvalidParameterError("need trials >= 0, n >= 2, q >= 2, budget >= 1")
+        if self.trials < 0 or self.n < 2 or self.q < 2 or min(self.t_r, self.t_c, self.budget) < 1:
+            raise InvalidParameterError("need trials >= 0, n >= 2, q >= 2, t_r, t_c, budget >= 1")
         burst = CONSTRUCTIONS[self.construction].burst
         if not burst and (self.t_r, self.t_c) != (1, 1):
             raise InvalidParameterError(

@@ -6,6 +6,7 @@ over every pattern, and the oracle builds each codeword's ball, then brackets
 the first deleted row and column over every pattern that yields the input.
 """
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,12 @@ from crisscross.core_array import (
     delete_rows_cols,
     deletion_ball_raw,
     enumerate_arrays,
+    packed_deletion_ball,
+    unpack_minor,
 )
 from crisscross.errors import AmbiguityError, NotACodewordError
 from crisscross.outcome import DecodeOutcome
-from crisscross.verify import decode_by_codebook
+from crisscross.verify import VerificationReport, decode_by_codebook, verify_codebook
 
 
 def _ref_minor(cells, drop_r, drop_c):
@@ -152,3 +155,88 @@ def test_oracle_equals_the_reference_on_every_3x3_binary_codeword(t_r, t_c):
             for y in minors:
                 args = (y, [x], t_r, t_c, mode)
                 assert _outcome(decode_by_codebook, *args) == _outcome(_ref_decode, *args)
+
+
+def _twin(rng, x, t):
+    """x with t consecutive rows and t consecutive columns redrawn: the two
+    share a (t, t) minor, plain and burst."""
+    r, c = rng.randrange(x.rows - t + 1), rng.randrange(x.cols - t + 1)
+    return Array2D(
+        [
+            [rng.randrange(x.q) if r <= i < r + t or c <= j < c + t else v
+             for j, v in enumerate(row)]
+            for i, row in enumerate(x.cells)
+        ],
+        x.q,
+    )
+
+
+def _seeded_book(seed, n, q, t):
+    """Eight random n x n arrays, then two planted twins and a duplicate."""
+    rng = random.Random(seed)
+    book = [Array2D([[rng.randrange(q) for _ in range(n)] for _ in range(n)], q)
+            for _ in range(8)]
+    return book + [_twin(rng, book[1], t), _twin(rng, book[5], t), book[3]]
+
+
+def _tuple_key_report(book, t, mode):
+    """verify_codebook's report from the cell-tuple balls: every pair whose
+    balls meet, in order, with the least minor they share."""
+    ball = burst_deletion_ball_raw if mode == "burst" else deletion_ball_raw
+    balls = [ball(x, t, t) for x in book]
+    violations = tuple(
+        ((i, j), Array2D(min(balls[i] & balls[j]), book[i].q))
+        for i, j in itertools.combinations(range(len(book)), 2)
+        if balls[i] & balls[j]
+    )
+    return VerificationReport(len(book) * (len(book) - 1) // 2, violations, not violations)
+
+
+def _unpacked(key, width):
+    return tuple(zip(*[iter(key)] * width))
+
+
+@pytest.mark.parametrize("seed, n, q, t, mode", [
+    (1, 6, 2, 1, "plain"), (2, 6, 3, 1, "burst"), (3, 8, 2, 2, "plain"),
+    (4, 8, 3, 2, "burst"), (5, 10, 3, 1, "plain"), (6, 10, 2, 2, "burst"),
+    (7, 12, 3, 2, "plain"), (8, 12, 2, 2, "burst"),
+])
+def test_packed_keys_give_the_tuple_key_report(seed, n, q, t, mode):
+    book = _seeded_book(seed, n, q, t)
+    report = verify_codebook(book, t, t, mode)
+    want = _tuple_key_report(book, t, mode)
+    assert {(1, 8), (5, 9), (3, 10)} <= {pair for pair, _ in report.violations}
+    assert report == want
+    assert [w.cells for _, w in report.violations] == [w.cells for _, w in want.violations]
+    assert report.to_lines() == want.to_lines()
+
+
+@pytest.mark.parametrize("burst", [False, True])
+def test_packed_keys_sort_as_the_cell_tuples(burst):
+    rng = random.Random(17)
+    for n, q, t in ((6, 2, 1), (7, 3, 2), (6, 256, 1)):
+        x = Array2D([[rng.randrange(q) for _ in range(n)] for _ in range(n)], q)
+        keys = packed_deletion_ball(x, t, t, burst)
+        cells = (burst_deletion_ball_raw if burst else deletion_ball_raw)(x, t, t)
+        assert all(isinstance(key, bytes) for key in keys)
+        assert [_unpacked(key, n - t) for key in sorted(keys)] == sorted(cells)
+        assert unpack_minor(min(keys), n - t, q).cells == min(cells)
+
+
+def test_books_over_more_than_256_symbols_keep_cell_tuple_keys():
+    rng = random.Random(257)
+    book = [Array2D([[rng.randrange(257) for _ in range(5)] for _ in range(5)], 257)
+            for _ in range(4)]
+    book += [_twin(rng, book[0], 1), book[2]]
+    assert packed_deletion_ball(book[0], 1, 1) == deletion_ball_raw(book[0], 1, 1)
+    for mode in ("plain", "burst"):
+        report = verify_codebook(book, 1, 1, mode)
+        assert report == _tuple_key_report(book, 1, mode)
+        assert {(0, 4), (2, 5)} <= {pair for pair, _ in report.violations}
+
+
+def test_empty_and_one_codeword_books_have_no_pairs():
+    x = _seeded_book(0, 6, 2, 1)[0]
+    for book in ([], [x]):
+        for mode in ("plain", "burst"):
+            assert verify_codebook(book, 1, 1, mode) == VerificationReport(0, (), True)

@@ -268,6 +268,38 @@ def test_verify_verdicts(capsys, tmp_path):
     assert "verdict: fail" in capsys.readouterr().out
 
 
+# Six 4x4 ternary codewords: 4 is 0 with row 3 and column 2 redrawn, 5 repeats 2.
+VIOLATING_BOOK = """4 3 6
+
+4 4 3\n1 1 0 0\n1 2 2 1\n2 1 1 2\n2 0 0 2
+
+4 4 3\n0 1 0 0\n2 1 0 1\n2 2 2 2\n0 0 2 0
+
+4 4 3\n1 1 2 0\n0 2 1 2\n1 0 2 2\n0 0 0 0
+
+4 4 3\n2 0 0 1\n1 0 2 0\n2 2 0 1\n0 1 1 0
+
+4 4 3\n1 0 0 0\n1 2 2 1\n0 2 0 1\n2 1 0 2
+
+4 4 3\n1 1 2 0\n0 2 1 2\n1 0 2 2\n0 0 0 0
+"""
+
+
+@pytest.mark.parametrize("widths, stdout", [
+    ([], "pairs checked: 15\nviolations: 2\nverdict: fail\n"
+         "  codewords 0 and 4 share minor ((1, 0, 0), (1, 2, 1), (2, 0, 2))\n"
+         "  codewords 2 and 5 share minor ((0, 1, 2), (1, 2, 2), (0, 0, 0))\n"),
+    (["--tr", "2", "--burst"], "pairs checked: 15\nviolations: 2\nverdict: fail\n"
+     "  codewords 0 and 4 share minor ((1, 0, 0), (1, 2, 1))\n"
+     "  codewords 2 and 5 share minor ((0, 2, 2), (0, 0, 0))\n"),
+])
+def test_verify_report_text_is_pinned(capsys, tmp_path, widths, stdout):
+    book = tmp_path / "violating.book"
+    book.write_text(VIOLATING_BOOK)
+    assert main(["verify", "--codebook", str(book), *widths]) == 1
+    assert capsys.readouterr().out == stdout
+
+
 def test_simulate_clean_run_and_seed_requirement(capsys):
     assert main([
         "simulate", "--construction", "c1", "--n", "6", "--q", "2",
@@ -279,6 +311,16 @@ def test_simulate_clean_run_and_seed_requirement(capsys):
 
     assert main(["simulate", "--construction", "c1", "--n", "6", "--q", "2"]) == 2
     assert "needs --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths", [["--tr", "0"], ["--tc", "0"], ["--tr", "-1"]])
+def test_simulate_nonpositive_burst_width_exits_2(capsys, widths):
+    # widths are checked before they divide n, so no ZeroDivisionError escapes
+    assert main([
+        "simulate", "--construction", "c3", "--n", "8", "--q", "2", *widths,
+        "--burst", "--seed", "1",
+    ]) == 2
+    assert "t_r, t_c, budget >= 1" in capsys.readouterr().err
 
 
 def test_count_modes_and_errors(capsys):
