@@ -17,12 +17,12 @@ from .core_array import (
 )
 from .errors import (
     CapacityError,
-    CodePropertyError,
     InvalidParameterError,
     NotACodewordError,
 )
 from .onedim import inserted_syndrome, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
+from .reprs import is_good
 from .scan import (
     ScanContext,
     column_rank_screen,
@@ -78,14 +78,6 @@ class C1Params:
         return len(set(self.a)) == 1 and len(set(self.full_b)) == 1
 
 
-def _fits(x: Array2D, ranks: tuple[int, ...], p: C1Params) -> bool:
-    """Membership of x, of p's shape, in p but for the sums, given its column
-    composition ranks: adjacent columns differ and the syndromes are p's."""
-    # Rows share one length and the alphabet, so tuple order is rir order.
-    syndromes = signature_syndrome(ranks, p.n), signature_syndrome(x.cells, p.n)
-    return all(u != v for u, v in zip(ranks, ranks[1:])) and syndromes == (p.c, p.d)
-
-
 def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
     """Parameters of the class containing x."""
     if x.rows != x.cols:
@@ -106,18 +98,18 @@ def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
 def c1_check(x: Array2D, p: C1Params) -> bool:
     """Membership test: x is good and its own class is p."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
-    ranks = comp_ranks(zip(*x.cells), p.q)
-    return x.col_sums() == p.a and x.row_sums() == p.full_b and _fits(x, ranks, p)
+    # Sums first: the exhaustive membership tests try every array on every class.
+    return x.col_sums() == p.a and is_good(x) and c1_syndromes(x, p.relaxed) == p
 
 
 def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
     """Recover the codeword whose deletion ball contains the (n-1) x (n-1) minor y.
 
-    With uniform sums the missing symbols are completed directly and the two
-    VT-style syndromes localize the deleted column and row. Otherwise every
-    hypothesis is screened by its column-rank syndrome and each hit with
-    adjacent-distinct columns by its row-integer syndrome, both O(1) from
-    tables, then tested bar the sums (which it has by construction); ball
+    With uniform sums the missing symbols are completed directly, the two
+    VT-style syndromes localize the deleted column and row, and the result is
+    a member iff its adjacent columns differ. Otherwise each hypothesis whose
+    column-rank syndrome matches, with adjacent-distinct columns, and whose
+    row-integer syndrome matches (O(1) each from tables) gives a member; ball
     disjointness of the class makes at most one survivor possible.
     """
     path = decode_route(path, p.uniform)
@@ -132,19 +124,17 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     # deleted row and column last, whatever the deleted positions.
     ranks = comp_ranks(zip(*ctx.candidate_rows(n, n)), p.q)
     _, col_run = vt_decode_known_symbol(ranks[:-1], ranks[-1], p.c, n)
-    if col_run[0] != col_run[1]:
-        raise CodePropertyError(
-            "composition run longer than one contradicts adjacent-distinct columns"
-        )
+    # Candidates with p's column syndrome have j in col_run and one column
+    # order, which for a run above one puts two equal compositions side by side.
     j = col_run[0]
+    cols = move_last(ranks, j)
+    if any(u == v for u, v in zip(cols, cols[1:])):
+        raise NotACodewordError("no completion has adjacent-distinct column compositions")
     # Rows share one length and the alphabet, so tuple order is rir order.
     rows = ctx.candidate_rows(n, j)
     _, row_run = vt_decode_known_symbol(rows[:-1], rows[-1], p.d, n)
+    # x has p's sums by construction and p's syndromes by the two matches.
     x = ctx.assemble(row_run[0], j)
-    # x has p's sums by construction, and its column compositions are the
-    # completion's with the last one moved to j.
-    if not _fits(x, move_last(ranks, j), p):
-        raise NotACodewordError("completed array fails the class constraints")
     return DecodeOutcome(array=x, row_interval=row_run, col_interval=(j, j), path="fast")
 
 
@@ -152,7 +142,7 @@ def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
     by_col = {}
     survivors: dict[Array2D, list[tuple[int, int]]] = {}
-    for i_hyp, j_hyp, distinct, rank in column_rank_screen(ctx, p.c):
+    for i_hyp, j_hyp, distinct, _ in column_rank_screen(ctx, p.c):
         if not distinct:
             continue
         if j_hyp not in by_col:
@@ -165,11 +155,8 @@ def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
             by_col[j_hyp] = above, below, inserted_syndrome(above, below, p.n)
         above, below, syndrome = by_col[j_hyp]
         new_row = ctx.forced_insertions(i_hyp, j_hyp)[0]
-        if syndrome(i_hyp, new_row) != p.d:
-            continue
-        cand = Array2D((*above[:i_hyp - 1], new_row, *below[i_hyp - 1:]), p.q)
-        # cand has p's sums by construction.
-        if _fits(cand, ctx.col_ranks.ranks(j_hyp, rank), p):
+        if syndrome(i_hyp, new_row) == p.d:
+            cand = Array2D((*above[:i_hyp - 1], new_row, *below[i_hyp - 1:]), p.q)
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .core_array import Array2D, require_shape
 from .errors import (
-    CodePropertyError,
     InvalidParameterError,
     NotACodewordError,
 )
@@ -118,10 +117,9 @@ def _is_structured(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool
 
 
 def _fits(x: Array2D, col_ranks, row_ranks, p: C2Params) -> bool:
-    """Membership of x, of p's shape, in p but for the sums, given its composition ranks."""
+    """Membership of x, of p's shape and ranks, in p but for the sums and syndromes."""
     return (
         _is_structured(x, col_ranks, row_ranks, p.l, p.rows_distinct)
-        and p.c == (signature_syndrome(col_ranks, p.cols), signature_syndrome(row_ranks, p.rows))
         and parity_bits(x, p.l) == p.d
     )
 
@@ -144,7 +142,8 @@ def c2_check(x: Array2D, p: C2Params) -> bool:
     """Membership test: x is band-valid (with distinct consecutive rows if the
     class asks for them) and its own class is p."""
     require_shape(x, p.rows, p.cols, p.q, "the class parameters")
-    return x.col_sums() == p.a and x.row_sums()[:-1] == p.b and _fits(x, *_ranks(x), p)
+    # Sums first: the exhaustive membership tests try every array on every class.
+    return x.col_sums() == p.a and c2_member_class(x, p.l, p.rows_distinct) == p
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,8 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     """Bracket the deleted column and row into runs of length at most two.
 
     Requires uniform sums, under which the candidate of hypothesis (rows,
-    cols) completes the minor whatever the deleted positions. Run lengths
-    above two contradict the no-triple-composition conditions.
+    cols) completes the minor whatever the deleted positions. A run above two
+    leaves three equal compositions in a row in every candidate: no member.
     """
     if not p.uniform:
         raise InvalidParameterError("interval location requires uniform sums")
@@ -179,7 +178,7 @@ def _locate(y: Array2D, p: C2Params):
     _, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
     for run in (col_run, row_run):
         if run[1] - run[0] > 1:
-            raise CodePropertyError(
+            raise NotACodewordError(
                 "composition run longer than two contradicts the class structure"
             )
     return ctx, IntervalLocation(row_interval=row_run, col_interval=col_run), col_obs, row_obs
@@ -191,7 +190,8 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
     Fast path (uniform sums): locate intervals, then resolve the column using a
     band disjoint from the row interval and the matching band parity, then the
     row using the row-integer parity. General path: the column-rank screen, the
-    row-rank syndrome of each hit off the same tables, then membership bar the sums.
+    row-rank syndrome of each hit off the same tables. Both then test what the
+    sums and syndromes leave: band validity and the parities.
     """
     path = decode_route(path, p.uniform)
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
@@ -203,8 +203,8 @@ def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
     x, i, j = resolve_deletion(ctx, p.l, p.d, loc.row_interval, loc.col_interval)
     rows = loc.row_interval if i is None else (i, i)
     cols = loc.col_interval if j is None else (j, j)
-    # x, assembled at (rows[0], cols[0]), has p's sums by construction, and its
-    # compositions are the completion's with the last ones moved there.
+    # x, assembled at (rows[0], cols[0]) inside the runs, has p's sums and
+    # syndromes, and its compositions are the completion's, last ones moved there.
     if not _fits(x, move_last(col_obs, cols[0]), move_last(row_obs, rows[0]), p):
         raise NotACodewordError("completed array fails the class constraints")
     return DecodeOutcome(array=x, row_interval=rows, col_interval=cols, path="fast")
@@ -219,7 +219,7 @@ def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
         if rows.syndrome(i_hyp, row_rank) != p.c[1]:
             continue
         cand = ctx.assemble(i_hyp, j_hyp)
-        # cand has p's sums by construction.
+        # cand has p's sums by construction and p's syndromes by the screens.
         if _fits(cand, cols.ranks(j_hyp, col_rank), rows.ranks(i_hyp, row_rank), p):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")

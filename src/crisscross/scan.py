@@ -16,8 +16,8 @@ class member:
    reads row ranks off ScanContext.row_ranks; c1 takes the hits whose
    adjacent columns differ, lays out the minor's rows once for each of
    their few columns j, and compares each hit's forced row with two rows.
-3. The module's membership test bar the sums, fed the ranks that 1 and 2
-   read, on the one array built for each hypothesis that passes both.
+3. What 1 and 2 leave open, on the one array built for each hypothesis that
+   passes both: nothing for c1; band validity and parities for c2, off their ranks.
 Filters 1 and 2 read the syndrome of a sequence with one entry inserted,
 whose other entries ignore where it goes, off onedim.inserted_syndrome.
 

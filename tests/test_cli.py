@@ -225,6 +225,18 @@ def test_decode_impossible_input_exits_3(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_decode_minor_whose_completions_repeat_a_column_exits_3(capsys, tmp_path):
+    # Every completion of the zero minor in this uniform class has equal
+    # adjacent columns: no codeword explains it (3), which is no ambiguity (4).
+    p = C1Params(n=3, q=3, a=(0,) * 3, b=(0,) * 2, c=0, d=0)
+    params = tmp_path / "zero.params"
+    minor = tmp_path / "zeros.array"
+    params.write_text(params_to_text(p))
+    minor.write_text(array_to_text(Array2D(((0,) * 2,) * 2, 3)))
+    assert main(["decode", "--params", str(params), "--received", str(minor)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_decode_burst_params_have_one_path(capsys, tmp_path):
     rng = random.Random(4)
     parts = []

@@ -20,11 +20,13 @@ from crisscross.core_array import (
 from crisscross.errors import (
     AmbiguityError,
     CapacityError,
+    CodePropertyError,
+    CrissCrossError,
     InvalidParameterError,
     NotACodewordError,
 )
 from crisscross.reprs import is_good
-from crisscross.verify import sample_good
+from crisscross.verify import decode_by_codebook, sample_good
 
 
 def all_patterns(n):
@@ -152,7 +154,8 @@ def test_decode_never_returns_a_non_member_on_random_minors():
                     continue
                 try:
                     out = c1_decode(y, p, path=path)
-                except (AmbiguityError, NotACodewordError):
+                except (AmbiguityError, NotACodewordError) as exc:
+                    assert not isinstance(exc, CodePropertyError)
                     continue
                 assert c1_check(out.array, p)
                 assert deletion_brackets(out.array, y, 1, 1) is not None
@@ -226,6 +229,33 @@ def _same_class_collision(n, q):
             if shared:
                 return u, v, Array2D(min(shared), q)
     return None
+
+
+def _outcome(decode, *args):
+    """The decoded array, or the class of the package error raised."""
+    try:
+        return decode(*args).array
+    except CrissCrossError as exc:
+        return type(exc)
+
+
+def test_decode_agrees_with_the_codebook_oracle_on_every_3x3_ternary_uniform_class():
+    # every 2x2 ternary minor against every uniform class: the decoder returns
+    # the member whose ball holds it, or raises what the oracle raises
+    minors = list(enumerate_arrays(2, 2, 3))
+    classes = [
+        (C1Params(n=3, q=3, a=a, b=b, c=c, d=d, relaxed=False), members)
+        for (a, b, c, d), members in _strict_class_buckets(3, 3).items()
+        if len(set(a)) == 1 and len(set(b)) == 1
+    ]
+    assert len(classes) == 67
+    mismatches = [
+        (p, y)
+        for p, members in classes
+        for y in minors
+        if _outcome(c1_decode, y, p) != _outcome(decode_by_codebook, y, members, 1, 1)
+    ]
+    assert not mismatches
 
 
 def test_position_dependent_classes_can_collide():
