@@ -117,7 +117,7 @@ def _is_structured(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool
 
 
 def _fits(x: Array2D, col_ranks, row_ranks, p: C2Params) -> bool:
-    """Membership of x, of p's shape and ranks, in p but for the sums and syndromes."""
+    """Membership of x, of p's shape, in p but for the sums and syndromes, given its ranks."""
     return (
         _is_structured(x, col_ranks, row_ranks, p.l, p.rows_distinct)
         and parity_bits(x, p.l) == p.d
