@@ -7,6 +7,7 @@ syndrome, and row-integer signature syndrome match the class parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, ne
 from typing import Iterator
 
 from .core_array import (
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .onedim import inserted_syndrome, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import is_good
 from .scan import (
     ScanContext,
     column_rank_screen,
@@ -82,6 +82,11 @@ def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
     """Parameters of the class containing x."""
     if x.rows != x.cols:
         raise InvalidParameterError("this construction is defined on square arrays")
+    return _class_of(x, comp_ranks(x.cells, x.q), relaxed)
+
+
+def _class_of(x: Array2D, col_ranks: tuple[int, ...], relaxed: bool) -> C1Params:
+    """Parameters of the class of the square x, given its column composition ranks."""
     n = x.rows
     b = x.row_sums()
     return C1Params(
@@ -89,7 +94,7 @@ def c1_syndromes(x: Array2D, relaxed: bool = True) -> C1Params:
         q=x.q,
         a=x.col_sums(),
         b=b[: n - 1] if relaxed else b,
-        c=signature_syndrome(comp_ranks(zip(*x.cells), x.q), n),
+        c=signature_syndrome(col_ranks, n),
         d=signature_syndrome(x.cells, n),
         relaxed=relaxed,
     )
@@ -99,7 +104,11 @@ def c1_check(x: Array2D, p: C1Params) -> bool:
     """Membership test: x is good and its own class is p."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
     # Sums first: the exhaustive membership tests try every array on every class.
-    return x.col_sums() == p.a and is_good(x) and c1_syndromes(x, p.relaxed) == p
+    if x.col_sums() != p.a:
+        return False
+    # Ranks order like the compositions, so x is good iff adjacent ranks differ.
+    ranks = comp_ranks(x.cells, x.q)
+    return all(map(ne, ranks, ranks[1:])) and _class_of(x, ranks, p.relaxed) == p
 
 
 def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
@@ -122,20 +131,20 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
     # With uniform sums the candidate of hypothesis (n, n) completes y, the
     # deleted row and column last, whatever the deleted positions.
-    ranks = comp_ranks(zip(*ctx.candidate_rows(n, n)), p.q)
+    ranks = comp_ranks(ctx.candidate_rows(n, n), p.q)
     _, col_run = vt_decode_known_symbol(ranks[:-1], ranks[-1], p.c, n)
     # Candidates with p's column syndrome have j in col_run and one column
     # order, which for a run above one puts two equal compositions side by side.
     j = col_run[0]
     cols = move_last(ranks, j)
-    if any(u == v for u, v in zip(cols, cols[1:])):
+    if any(map(eq, cols, cols[1:])):
         raise NotACodewordError("no completion has adjacent-distinct column compositions")
-    # Rows share one length and the alphabet, so tuple order is rir order.
+    # Rows share one length and the alphabet, so tuple order is rir order;
+    # the decode lays out the candidate at (row_run[0], j).
     rows = ctx.candidate_rows(n, j)
-    _, row_run = vt_decode_known_symbol(rows[:-1], rows[-1], p.d, n)
+    x, row_run = vt_decode_known_symbol(rows[:-1], rows[-1], p.d, n)
     # x has p's sums by construction and p's syndromes by the two matches.
-    x = ctx.assemble(row_run[0], j)
-    return DecodeOutcome(array=x, row_interval=row_run, col_interval=(j, j), path="fast")
+    return DecodeOutcome(Array2D(x, p.q), row_run, (j, j), "fast")
 
 
 def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import eq
 
 from .core_array import Array2D, require_shape
 from .errors import (
     InvalidParameterError,
     NotACodewordError,
 )
-from .onedim import signature_syndrome, vt_decode_known_symbol
+from .onedim import inversions, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import is_l_weakly_valid, no_triple_runs, rows_are_distinct
+from .reprs import bands_fit, check_band_height, no_triple_runs
 from .scan import (
     ScanContext,
     column_rank_screen,
@@ -89,7 +90,7 @@ def default_band_height(n: int, q: int) -> int:
 
 def _ranks(x: Array2D) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ranks of the column compositions of x, then of its row compositions."""
-    return comp_ranks(zip(*x.cells), x.q), comp_ranks(x.cells, x.q)
+    return comp_ranks(x.cells, x.q), comp_ranks(tuple(zip(*x.cells)), x.q)
 
 
 def _class_of(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool) -> C2Params:
@@ -108,19 +109,14 @@ def _class_of(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool) -> 
     )
 
 
-def _is_structured(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool) -> bool:
-    """Band validity of x given its composition ranks, with distinct rows if asked."""
+def _fits(rows, col_ranks, row_ranks, l: int, rows_distinct: bool, d=None, matched=None) -> bool:
+    """Band validity of the row tuples rows, whose composition ranks are given,
+    with distinct consecutive rows if asked and, if d is given, parities d
+    but for band matched's and the row parity (as scan.resolve_deletion leaves them)."""
     return (
-        is_l_weakly_valid(x, l) and no_triple_runs(col_ranks) and no_triple_runs(row_ranks)
-        and (not rows_distinct or rows_are_distinct(x))
-    )
-
-
-def _fits(x: Array2D, col_ranks, row_ranks, p: C2Params) -> bool:
-    """Membership of x, of p's shape, in p but for the sums and syndromes, given its ranks."""
-    return (
-        _is_structured(x, col_ranks, row_ranks, p.l, p.rows_distinct)
-        and parity_bits(x, p.l) == p.d
+        no_triple_runs(col_ranks) and no_triple_runs(row_ranks)
+        and not (rows_distinct and any(map(eq, rows, rows[1:])))
+        and bands_fit(rows, l, d, matched)
     )
 
 
@@ -133,8 +129,9 @@ def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
 
 def c2_member_class(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params | None:
     """The class of x (band height l) if x is a member of it, else None."""
+    check_band_height(x.rows, l)
     ranks = _ranks(x)
-    member = _is_structured(x, *ranks, l, rows_distinct)
+    member = _fits(x.cells, *ranks, l, rows_distinct)
     return _class_of(x, *ranks, l, rows_distinct) if member else None
 
 
@@ -172,9 +169,9 @@ def _locate(y: Array2D, p: C2Params):
     require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
     ctx = ScanContext(y, p.a, p.full_b)
     rows = ctx.candidate_rows(p.rows, p.cols)
-    col_obs = comp_ranks(zip(*rows), p.q)
+    col_obs = comp_ranks(rows, p.q)
     _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
-    row_obs = comp_ranks(rows, p.q)
+    row_obs = comp_ranks(tuple(zip(*rows)), p.q)
     _, row_run = vt_decode_known_symbol(row_obs[:-1], row_obs[-1], p.c[1], p.rows)
     for run in (col_run, row_run):
         if run[1] - run[0] > 1:
@@ -200,26 +197,31 @@ def c2_decode(y: Array2D, p: C2Params, path: str = "auto") -> DecodeOutcome:
 
 def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
     ctx, loc, col_obs, row_obs = _locate(y, p)
-    x, i, j = resolve_deletion(ctx, p.l, p.d, loc.row_interval, loc.col_interval)
+    x, i, j, band = resolve_deletion(ctx, p.l, p.d, loc.row_interval, loc.col_interval)
     rows = loc.row_interval if i is None else (i, i)
     cols = loc.col_interval if j is None else (j, j)
-    # x, assembled at (rows[0], cols[0]) inside the runs, has p's sums and
-    # syndromes, and its compositions are the completion's, last ones moved there.
-    if not _fits(x, move_last(col_obs, cols[0]), move_last(row_obs, rows[0]), p):
+    # x, laid out at (rows[0], cols[0]) inside the runs, has p's sums, syndromes
+    # and row parity; its compositions are the completion's, last ones moved there.
+    col_ranks, row_ranks = move_last(col_obs, cols[0]), move_last(row_obs, rows[0])
+    if not _fits(x, col_ranks, row_ranks, p.l, p.rows_distinct, p.d, band):
         raise NotACodewordError("completed array fails the class constraints")
-    return DecodeOutcome(array=x, row_interval=rows, col_interval=cols, path="fast")
+    return DecodeOutcome(array=Array2D(x, p.q), row_interval=rows, col_interval=cols, path="fast")
 
 
 def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
     ctx = ScanContext(y, p.a, p.full_b)
     cols, rows = ctx.col_ranks, ctx.row_ranks
-    survivors: dict[Array2D, list[tuple[int, int]]] = {}
+    survivors: dict[tuple, list[tuple[int, int]]] = {}
     for i_hyp, j_hyp, _, col_rank in column_rank_screen(ctx, p.c[0]):
         row_rank = rows.inserted_rank(j_hyp, ctx.corner(i_hyp, j_hyp))
         if rows.syndrome(i_hyp, row_rank) != p.c[1]:
             continue
-        cand = ctx.assemble(i_hyp, j_hyp)
-        # cand has p's sums by construction and p's syndromes by the screens.
-        if _fits(cand, cols.ranks(j_hyp, col_rank), rows.ranks(i_hyp, row_rank), p):
+        cand = ctx.candidate_rows(i_hyp, j_hyp)
+        # cand has p's sums by construction and p's syndromes by the screens;
+        # only a member becomes an array.
+        col_ranks, row_ranks = cols.ranks(j_hyp, col_rank), rows.ranks(i_hyp, row_rank)
+        if _fits(cand, col_ranks, row_ranks, p.l, p.rows_distinct, p.d) and (
+            inversions(cand) % 2 == p.d[3]
+        ):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
-    return scan_verdict(survivors, "scan")
+    return scan_verdict({Array2D(x, p.q): hyps for x, hyps in survivors.items()}, "scan")

@@ -19,12 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .code_c2 import C2Params, c2_check, c2_decode, c2_member_class
-from .core_array import (
-    Array2D,
-    extract_residue_subarray,
-    interleave_residue_subarrays,
-    require_shape,
-)
+from .core_array import Array2D, interleave_cells, require_shape
 from .errors import (
     CodePropertyError,
     InvalidParameterError,
@@ -32,7 +27,7 @@ from .errors import (
     NotInstantiableError,
 )
 from .outcome import DecodeOutcome
-from .reprs import is_l_weakly_valid
+from .reprs import bands_fit
 from .scan import ScanContext, parity_bits, resolve_deletion
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
@@ -116,23 +111,26 @@ class C3Params:
         return bs + (last,)
 
 
-def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[Array2D]]:
+def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[tuple]]:
+    """Row tuples of every residue subarray of x, indexed [s_r - 1][s_c - 1]."""
     return [
-        [extract_residue_subarray(x, s, u, t_r, t_c) for u in range(1, t_c + 1)]
-        for s in range(1, t_r + 1)
+        [tuple(row[u::t_c] for row in x.cells[s::t_r]) for u in range(t_c)] for s in range(t_r)
     ]
 
 
-def _slot(sub: Array2D, l: int) -> tuple:
-    """A subarray's column sums, all its row sums but the last, and its parity bits."""
-    return sub.col_sums(), sub.row_sums()[:-1], parity_bits(sub, l)
+def _slot(rows, q: int, l: int) -> tuple:
+    """A subarray's column sums, all its row sums but the last, and its parity
+    bits, from its row tuples."""
+    sums = tuple(sum(col) % q for col in zip(*rows)), tuple(sum(row) % q for row in rows[:-1])
+    return (*sums, parity_bits(rows, l))
 
 
-def _grids(subs, l: int, anchor: C2Params) -> tuple[SumGrid, SumGrid, BitGrid]:
-    """The (a, b, d) grids of the subarrays. The anchor slot is read off
-    anchor, the anchor subarray's c2 class."""
+def _grids(subs, q: int, l: int, anchor: C2Params) -> tuple[SumGrid, SumGrid, BitGrid]:
+    """The (a, b, d) grids of the subarrays' row tuples. The anchor slot is
+    read off anchor, the anchor subarray's c2 class."""
     slots = [
-        [_slot(sub, l) if s or u else (anchor.a, anchor.b, anchor.d) for u, sub in enumerate(row)]
+        [_slot(rows, q, l) if s or u else (anchor.a, anchor.b, anchor.d)
+         for u, rows in enumerate(row)]
         for s, row in enumerate(subs)
     ]
     return tuple(tuple(tuple(slot[k] for slot in row) for row in slots) for k in range(3))
@@ -150,22 +148,13 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     if t_r < 1 or t_c < 1 or x.rows % t_r or x.cols % t_c:
         raise InvalidParameterError(f"burst lengths ({t_r}, {t_c}) must divide n={x.rows}")
     subs = _subarrays(x, t_r, t_c)
-    anchor = c2_member_class(subs[0][0], l, rows_distinct=True)
+    anchor = c2_member_class(Array2D(subs[0][0], x.q), l, rows_distinct=True)
     if anchor is None:
         raise NotInstantiableError(
             "anchor subarray is not band-valid with distinct consecutive rows"
         )
-    a, b, d = _grids(subs, l, anchor)
+    a, b, d = _grids(subs, x.q, l, anchor)
     return C3Params(n=x.rows, q=x.q, t_r=t_r, t_c=t_c, l=l, anchor=anchor, a=a, b=b, d=d)
-
-
-def _fits_rest(subs: list[list[Array2D]], p: C3Params) -> bool:
-    """Membership of the subarrays but for the anchor's, which c2_check decides:
-    each other one is weakly band-valid and its (a, b, d) slot is p's."""
-    return all(
-        is_l_weakly_valid(sub, p.l) and _slot(sub, p.l) == (p.a[s][u], p.b[s][u], p.d[s][u])
-        for s, row in enumerate(subs) for u, sub in enumerate(row) if s or u
-    )
 
 
 def c3_check(x: Array2D, p: C3Params) -> bool:
@@ -173,7 +162,10 @@ def c3_check(x: Array2D, p: C3Params) -> bool:
     other subarray is weakly band-valid, and their grid slots are p's."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
     subs = _subarrays(x, p.t_r, p.t_c)
-    return c2_check(subs[0][0], p.anchor) and _fits_rest(subs, p)
+    return c2_check(Array2D(subs[0][0], p.q), p.anchor) and all(
+        bands_fit(rows, p.l) and _slot(rows, p.q, p.l) == (p.a[s][u], p.b[s][u], p.d[s][u])
+        for s, row in enumerate(subs) for u, rows in enumerate(row) if s or u
+    )
 
 
 def _window_starts(
@@ -205,37 +197,37 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
         raise InvalidParameterError(f"the burst decoder has a single path, not {path!r}")
     require_shape(y, p.n - p.t_r, p.n - p.t_c, p.q, f"a {p.t_r}x{p.t_c} burst deletion")
 
-    anchor_out = c2_decode(extract_residue_subarray(y, 1, 1, p.t_r, p.t_c), p.anchor)
+    parts = _subarrays(y, p.t_r, p.t_c)
+    anchor_out = c2_decode(Array2D(parts[0][0], p.q), p.anchor)
     if not (anchor_out.row_exact and anchor_out.col_exact):
         raise CodePropertyError(
             "anchor decode left a position open despite the distinct-rows guarantee"
         )
     (i_star, _), (j_star, _) = anchor_out.row_interval, anchor_out.col_interval
 
-    parts: list[list] = [[None] * p.t_c for _ in range(p.t_r)]
-    parts[0][0] = anchor_out.array
-    row_hits, col_hits = [(1, i_star)], [(1, j_star)]
-    for s, u in itertools.product(range(1, p.t_r + 1), range(1, p.t_c + 1)):
-        if (s, u) == (1, 1):
+    parts[0][0] = anchor_out.array.cells
+    row_hits, col_hits, left_open = [(1, i_star)], [(1, j_star)], []
+    for s, u in itertools.product(range(p.t_r), range(p.t_c)):
+        if not (s or u):
             continue
-        minor = tuple(row[u - 1::p.t_c] for row in y.cells[s - 1::p.t_r])
-        sub, i_res, j_res = resolve_deletion(
-            ScanContext(minor, p.a[s - 1][u - 1], p.full_b(s, u), p.q), p.l, p.d[s - 1][u - 1],
-            (i_star if s == 1 else max(i_star - 1, 1), i_star),
-            (j_star if u == 1 else max(j_star - 1, 1), j_star),
+        parts[s][u], i_res, j_res, band = resolve_deletion(
+            ScanContext(parts[s][u], p.a[s][u], p.full_b(s + 1, u + 1), p.q), p.l, p.d[s][u],
+            (max(i_star - 1, 1) if s else i_star, i_star),
+            (max(j_star - 1, 1) if u else j_star, j_star),
         )
-        parts[s - 1][u - 1] = sub
+        left_open.append((parts[s][u], p.d[s][u], band))
         if i_res is not None:
-            row_hits.append((s, i_res))
+            row_hits.append((s + 1, i_res))
         if j_res is not None:
-            col_hits.append((u, j_res))
+            col_hits.append((u + 1, j_res))
 
-    # c2_decode returned a member of the anchor class, so the rest of
-    # c3_check remains, on the other subarrays in hand
-    if not _fits_rest(parts, p):
+    # c2_decode returned a member of the anchor class, and every other
+    # subarray has its slot's sums and row parity: what c3_check asks beyond
+    # is weak validity and the band parities that resolve_deletion left open.
+    if not all(bands_fit(rows, p.l, d, band) for rows, d, band in left_open):
         raise NotACodewordError("reassembled array fails the class constraints")
     return DecodeOutcome(
-        array=interleave_residue_subarrays(parts, p.t_r, p.t_c),
+        array=Array2D(interleave_cells(parts), p.q),
         row_interval=_window_starts(row_hits, p.t_r, p.n),
         col_interval=_window_starts(col_hits, p.t_c, p.n),
         path="residue",

@@ -38,7 +38,7 @@ class Array2D:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "rows", len(cells))
         object.__setattr__(self, "cols", len(cells[0]))
-        object.__setattr__(self, "_hash", hash((q, cells)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Array2D is immutable")
@@ -49,6 +49,8 @@ class Array2D:
         return self.q == other.q and self.cells == other.cells
 
     def __hash__(self):
+        if self._hash is None:  # most arrays are never hashed
+            object.__setattr__(self, "_hash", hash((self.q, self.cells)))
         return self._hash
 
     def __repr__(self):
@@ -85,7 +87,7 @@ def _packed_cells(norm: tuple, q: int) -> tuple[tuple[int, ...], ...] | None:
     rows are cut back out of the bytes, so each cell is an exact int, as
     int() would give."""
     try:
-        packed = bytes(itertools.chain.from_iterable(norm))
+        packed = b"".join(map(bytes, norm))
     except (TypeError, ValueError):
         return None
     if packed.translate(None, bytes(range(q))):
@@ -418,12 +420,16 @@ def interleave_residue_subarrays(
         for part in row:
             if (part.rows, part.cols, part.q) != (first.rows, first.cols, first.q):
                 raise InvalidParameterError("subarrays must share shape and alphabet")
-    cells = [[0] * (first.cols * t_c) for _ in range(first.rows * t_r)]
-    for s, row in enumerate(parts):
-        for u, part in enumerate(row):
-            for out_row, part_row in zip(cells[s::t_r], part.cells):
-                out_row[u::t_c] = part_row
-    return Array2D(cells, first.q)
+    return Array2D(interleave_cells([[part.cells for part in row] for row in parts]), first.q)
+
+
+def interleave_cells(parts) -> list[tuple[int, ...]]:
+    """Rows of the interleave of a grid of equal-shape subarrays' row tuples,
+    parts[s_r-1][s_c-1] holding residue class (s_r, s_c)."""
+    return [
+        tuple(itertools.chain.from_iterable(zip(*(part[i] for part in row))))
+        for i in range(len(parts[0][0])) for row in parts
+    ]
 
 
 def enumerate_arrays(

@@ -57,28 +57,43 @@ def runs_count(x: tuple[int, ...]) -> int:
 
 
 def composition(x: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """Symbol frequency vector (count of 0, count of 1, ..., count of q-1).
-
-    A tuple or list of at least 12 + 4q symbols over q <= 256 is packed into
-    bytes and counted by one bytes.count pass per symbol, which beats the
-    per-symbol loop from about that length. If packing fails or the counts
-    miss a symbol (one at or above q), the loop runs and raises as usual.
-    """
+    """Symbol frequency vector (count of 0, count of 1, ..., count of q-1)."""
     if q < 2:
         raise InvalidParameterError("alphabet size must be at least 2")
-    if q <= 256 and isinstance(x, (tuple, list)) and len(x) >= 12 + 4 * q:
-        try:
-            counts = tuple(map(bytes(x).count, range(q)))
-        except (TypeError, ValueError):
-            counts = ()
-        if sum(counts) == len(x):
-            return counts
     counts = [0] * q
     for v in x:
         if not 0 <= v < q:
             raise InvalidParameterError(f"symbol {v} outside [0, {q})")
         counts[v] += 1
     return tuple(counts)
+
+
+def compositions(table, q: int) -> tuple[tuple[int, ...], ...]:
+    """composition(column, q) of each column of table, a sequence of
+    equal-length rows. Over 2 <= q <= 256 and below 256 rows, per symbol but
+    the last, the rows' packed 0/1 indicators are summed as big ints, one
+    byte per column (no count overflows it); the last symbol takes the rest.
+    Other tables, or a cell outside [0, q), go column by column through
+    composition, which raises on such a cell."""
+    table = tuple(table)
+    try:
+        packed = tuple(map(bytes, table)) if 2 <= q <= 256 and 0 < len(table) < 256 else ()
+    except (TypeError, ValueError):
+        packed = ()
+    if (
+        packed and len(set(map(len, packed))) == 1
+        and not b"".join(packed).translate(None, bytes(range(q)))
+    ):
+        width = len(packed[0])
+        indicators = (bytes(v) + b"\1" + bytes(255 - v) for v in range(q - 1))
+        counts = [
+            sum(map(int.from_bytes, map(bytes.translate, packed, itertools.repeat(ind)),
+                    itertools.repeat("big")))
+            for ind in indicators
+        ]
+        counts.append(int.from_bytes(bytes((len(packed),)) * width, "big") - sum(counts))
+        return tuple(zip(*(c.to_bytes(width, "big") for c in counts)))
+    return tuple(composition(col, q) for col in zip(*table))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -145,21 +160,35 @@ def vt_decode_known_symbol(
 ) -> tuple[tuple[int, ...], tuple[int, int]]:
     """Recover x of length n from y = x minus one occurrence of the known symbol v.
 
-    Matches the signature syndrome a mod n over all n insertion positions using
-    inserted_syndrome's prefix sums. All insertions of v share a symbol sum, so
-    by Tenengolts' q-ary VT code (IEEE T-IT 1984) distinct ones have distinct
-    syndromes: the matches form one run with one reconstruction. Returns
-    (x, (lo, hi)) where [lo, hi] is that 1-based ambiguity run.
+    Matches the signature syndrome a mod n over the n insertion positions in
+    one pass. All insertions of v share a symbol sum, so by Tenengolts' q-ary
+    VT code (IEEE T-IT 1984) distinct ones have distinct syndromes: the
+    matches form one run with one reconstruction. Returns (x, (lo, hi)) where
+    [lo, hi] is that 1-based ambiguity run.
     """
     if len(y) != n - 1:
         raise InvalidParameterError(f"received length {len(y)}, expected {n - 1}")
     if n == 1:
         return (v,), (1, 1)
-    syndrome = inserted_syndrome(y, y, n)
-    matches = [p for p in range(1, n + 1) if syndrome(p, v) == a % n]
-    if not matches:
+    a %= n
+    asc = tuple(map(operator.le, y, y[1:]))
+    # With v at p, y's ascent t (y[t] <= y[t + 1], 0-based) weighs t + 1 left
+    # of p and t + 2 right of it; p + 1 takes ascent p - 2 left and splits
+    # ascent p - 1. v's neighbours at the ends weigh 0 and n: any will do.
+    fixed = sum(itertools.compress(range(2, n), asc))
+    lo = hi = None
+    for p, left, right, join, split in zip(
+        range(1, n + 1), (y[-1], *y), (*y, y[-1]), (False, *asc, False), (*asc, False, False)
+    ):
+        if (fixed + (p - 1) * (v >= left) + p * (right >= v)) % n == a:
+            lo = lo or p
+            hi = p
+        elif lo:
+            break
+        fixed += (p - 1) * join - (p + 1) * split
+    if lo is None:
         raise NotACodewordError("no insertion position matches the signature syndrome")
-    return _insert(y, matches[0], v), (matches[0], matches[-1])
+    return _insert(y, lo, v), (lo, hi)
 
 
 def vt_decode_full(

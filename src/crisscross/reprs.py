@@ -9,21 +9,19 @@ import operator
 
 from .core_array import Array2D, transpose
 from .errors import InvalidParameterError
-from .onedim import composition
+from .onedim import compositions, inversions
 
 Composition = tuple[int, ...]
 
 
 def ccr(x: Array2D) -> tuple[Composition, ...]:
     """Column composition sequence: frequency vector of each column, left to right."""
-    q = x.q
-    return tuple(composition(col, q) for col in zip(*x.cells))
+    return compositions(x.cells, x.q)
 
 
 def rcr(x: Array2D) -> tuple[Composition, ...]:
     """Row composition sequence: frequency vector of each row, top to bottom."""
-    q = x.q
-    return tuple(composition(row, q) for row in x.cells)
+    return compositions(tuple(zip(*x.cells)), x.q)
 
 
 def rir(x: Array2D) -> tuple[int, ...]:
@@ -68,9 +66,17 @@ def check_band_height(rows: int, l: int) -> None:
 def is_l_weakly_valid(x: Array2D, l: int) -> bool:
     """True iff in each of the first three height-l row bands, adjacent columns differ."""
     check_band_height(x.rows, l)
-    for k in range(3):
-        band_cols = tuple(zip(*x.cells[k * l:(k + 1) * l]))
-        if any(map(operator.eq, band_cols, band_cols[1:])):
+    return bands_fit(x.cells, l)
+
+
+def bands_fit(rows, l: int, d=None, matched: int | None = None) -> bool:
+    """Weak validity of the row tuples rows and, if d is given, inversion parity
+    d[k - 1] of each band k = 1, 2, 3 but matched, off one transpose per band."""
+    for k in (1, 2, 3):
+        band = tuple(zip(*rows[(k - 1) * l:k * l]))
+        if any(map(operator.eq, band, band[1:])) or (
+            d and k != matched and inversions(band) % 2 != d[k - 1]
+        ):
             return False
     return True
 

@@ -16,8 +16,9 @@ class member:
    reads row ranks off ScanContext.row_ranks; c1 takes the hits whose
    adjacent columns differ, lays out the minor's rows once for each of
    their few columns j, and compares each hit's forced row with two rows.
-3. What 1 and 2 leave open, on the one array built for each hypothesis that
-   passes both: nothing for c1; band validity and parities for c2, off their ranks.
+3. What 1 and 2 leave open: nothing for c1; for c2, band validity off the
+   ranks and the candidate's row tuples, then the parities. Only a
+   surviving candidate becomes an array.
 Filters 1 and 2 read the syndrome of a sequence with one entry inserted,
 whose other entries ignore where it goes, off onedim.inserted_syndrome.
 
@@ -28,7 +29,7 @@ in, so the candidate of (i, j) has the completion's column (row)
 compositions with the last one moved to j (i). resolve_deletion settles a
 bracket of at most two positions per axis by band and row inversion
 parities, for c2's fast path and for each residue subarray of c3; it needs
-no uniform sums.
+no uniform sums, and hands the candidate on as row tuples.
 
 Parities and syndromes that the paper states on base-q integers (a band's
 columns, an array's rows) read each integer as its tuple of digits instead:
@@ -43,7 +44,7 @@ from operator import sub
 
 from .core_array import Array2D
 from .errors import AmbiguityError, InvalidParameterError, NotACodewordError
-from .onedim import comp_rank, composition, inserted_syndrome, inversions
+from .onedim import comp_rank, composition, compositions, inserted_syndrome, inversions
 from .outcome import DecodeOutcome
 
 
@@ -59,8 +60,7 @@ class RankTable:
     The inserted line holds the corner and one forced symbol per minor line of
     the other axis, counted in counts[p'] if that axis's inserted line is at p'."""
 
-    def __init__(self, lines, before, after, cross_before, cross_after, q: int):
-        comps = [composition(line, q) for line in lines]
+    def __init__(self, comps, before, after, cross_before, cross_after, q: int):
         self.before = [_ranked(c, v) for c, v in zip(comps, before)]
         self.after = [_ranked(c, v) for c, v in zip(comps, after)]
         self.syndrome = inserted_syndrome(self.before, self.after, len(comps) + 1)
@@ -93,8 +93,8 @@ class ScanContext:
                 f"criss-cross deletion from {rows}x{cols}"
             )
         self.q, self.rows, self.cols, self.full_b, self.cells = q, rows, cols, full_b, cells
-        col_sums = [sum(col) for col in zip(*cells)]
-        row_sums = [sum(row) for row in cells]
+        col_sums = list(map(sum, zip(*cells)))
+        row_sums = list(map(sum, cells))
         # Forced symbol of each minor column (row): where it keeps its index,
         # left of (above) the deleted one, and where it moves one on, right
         # of (below) it.
@@ -114,11 +114,13 @@ class ScanContext:
 
     @cached_property
     def col_ranks(self) -> RankTable:
-        return RankTable(zip(*self.cells), self.left, self.right, self.up, self.down, self.q)
+        comps = compositions(self.cells, self.q)
+        return RankTable(comps, self.left, self.right, self.up, self.down, self.q)
 
     @cached_property
     def row_ranks(self) -> RankTable:
-        return RankTable(self.cells, self.up, self.down, self.left, self.right, self.q)
+        comps = compositions(tuple(zip(*self.cells)), self.q)
+        return RankTable(comps, self.up, self.down, self.left, self.right, self.q)
 
     def forced_insertions(self, i_hyp: int, j_hyp: int):
         """Row and column contents forced by the sums under hypothesis (i_hyp, j_hyp)."""
@@ -136,10 +138,6 @@ class ScanContext:
         out.insert(i_hyp - 1, new_row)
         return tuple(out)
 
-    def assemble(self, i_hyp: int, j_hyp: int) -> Array2D:
-        """Materialize the candidate array for hypothesis (i_hyp, j_hyp)."""
-        return Array2D(self.candidate_rows(i_hyp, j_hyp), self.q)
-
 
 def decode_route(path: str, uniform: bool) -> str:
     """The c1 or c2 decode path to run for the requested one: "auto" runs
@@ -153,9 +151,10 @@ def decode_route(path: str, uniform: bool) -> str:
     return path
 
 
-def comp_ranks(seqs, q: int) -> tuple[int, ...]:
-    """Rank of each sequence's composition over q."""
-    return tuple(comp_rank(composition(seq, q)) for seq in seqs)
+def comp_ranks(table, q: int) -> tuple[int, ...]:
+    """Rank of the composition over q of each column of table, a sequence of
+    equal-length rows, counted by onedim.compositions."""
+    return tuple(map(comp_rank, compositions(table, q)))
 
 
 def move_last(seq: tuple, k: int) -> tuple:
@@ -222,27 +221,36 @@ def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
     )
 
 
-def parity_bits(x: Array2D, l: int) -> tuple[int, int, int, int]:
+def _band(rows, l: int, k: int) -> tuple:
+    """The columns, as digit tuples, of the k-th (1-based) height-l band of rows."""
+    return tuple(zip(*rows[(k - 1) * l:k * l]))
+
+
+def parity_bits(x, l: int) -> tuple[int, int, int, int]:
     """Inversion parities of the three height-l bands' column integers, then of
-    the row integers, each integer read as its tuple of digits."""
-    cells = x.cells
-    bands = (inversions(tuple(zip(*cells[k * l:(k + 1) * l]))) % 2 for k in range(3))
-    return (*bands, inversions(cells) % 2)
+    the row integers, each read as its tuple of digits, of an Array2D or its rows."""
+    cells = x.cells if isinstance(x, Array2D) else x
+    return (*(inversions(_band(cells, l, k)) % 2 for k in (1, 2, 3)), inversions(cells) % 2)
 
 
 def resolve_deletion(
     ctx: ScanContext, l: int, d: tuple[int, int, int, int],
     row_interval: tuple[int, int], col_interval: tuple[int, int],
-) -> tuple[Array2D, int | None, int | None]:
+) -> tuple[tuple[tuple[int, ...], ...], int | None, int | None, int | None]:
     """Finish a deletion bracketed to at most two adjacent rows and columns by
     the inversion parities d of the class (three bands, then row integers).
 
-    Returns the candidate array plus the resolved row and column indices
-    (None where a tie left the position open; the array is unique anyway,
-    and was assembled at that interval's first position).
+    Returns the candidate's row tuples, the resolved row and column indices
+    (None where a tie left the position open; the candidate is unique anyway,
+    and was taken at that interval's first position), and the band k that
+    settled a two-column bracket (else None). The candidate has the class
+    sums and row parity d[3], and band k has parity d[k - 1] or two equal
+    adjacent columns: weak validity and the other band parities remain.
     """
     (lo, hi), j = row_interval, col_interval[0]
     col_exact = col_interval[1] == j
+    first = ctx.candidate_rows(lo, j)
+    k = None
     if not col_exact:
         # A band that avoids the row interval reads the same under either row
         # hypothesis, so its parity tests the column alone. Its columns with
@@ -251,20 +259,30 @@ def resolve_deletion(
         # avoids an interval that starts below it; else lo <= l, band 2
         # avoids it if hi <= l, and band 3 does as hi <= lo + 1 <= 2 * l.
         k = 1 if lo > l else 2 if hi <= l else 3
-        band = tuple(zip(*ctx.candidate_rows(lo, j)[(k - 1) * l:k * l]))
+        band = _band(first, l, k)
         col_exact = band[j - 1] != band[j]
         if col_exact and inversions(band) % 2 != d[k - 1]:
             j += 1
+            first = ctx.candidate_rows(lo, j)
 
-    cands = [(i, ctx.candidate_rows(i, j)) for i in range(lo, hi + 1)]
-    matches = [(i, rows) for i, rows in cands if inversions(rows) % 2 == d[3]]
+    cands = [(lo, first, inversions(first) % 2)]
+    if hi > lo:
+        rows = ctx.candidate_rows(hi, j)
+        # rows is first but in rows lo and hi. Where it swaps those two, as
+        # under uniform row sums, its parity is first's, flipped iff they differ.
+        if rows[lo - 1] == first[lo] and rows[lo] == first[lo - 1]:
+            cands.append((hi, rows, cands[0][2] ^ (first[lo - 1] != first[lo])))
+        else:
+            cands.append((hi, rows, inversions(rows) % 2))
+    matches = [(i, rows) for i, rows, parity in cands if parity == d[3]]
     if not matches:
         raise NotACodewordError("no row candidate matches the inversion parity")
     if len({rows for _, rows in matches}) > 1:
         raise AmbiguityError("two row hypotheses give distinct arrays consistent with the class")
     row_exact = len(matches) == 1
     return (
-        Array2D(matches[0][1], ctx.q),
+        matches[0][1],
         matches[0][0] if row_exact else None,
         j if col_exact else None,
+        k,
     )

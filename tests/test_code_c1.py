@@ -8,7 +8,7 @@ from collections import defaultdict
 
 import pytest
 
-from crisscross import onedim
+from crisscross import scan
 from crisscross.code_c1 import C1Params, c1_check, c1_decode, c1_enumerate, c1_syndromes
 from crisscross.core_array import (
     Array2D,
@@ -164,25 +164,26 @@ def test_decode_never_returns_a_non_member_on_random_minors():
 
 
 def test_fast_decode_ranks_each_column_once(monkeypatch):
-    # the final test reuses the completion's column composition ranks, so
-    # only the n columns of the completion are counted
+    # one rank kernel pass over the completion's n columns; the final test
+    # reuses those ranks, so no other line is ranked
     rng = random.Random(8)
     x = sample_good(9, 3, rng, uniform_sums=True)
     p = c1_syndromes(x)
-    calls, real = [], onedim.composition
+    ranked, real = [], scan.comp_ranks
 
-    def counted(seq, q):
-        calls.append(seq)
-        return real(seq, q)
+    def counted(table, q):
+        out = real(table, q)
+        ranked.append(len(out))
+        return out
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("crisscross") and "composition" in vars(module):
-            monkeypatch.setattr(module, "composition", counted)
+        if module.__name__.startswith("crisscross") and "comp_ranks" in vars(module):
+            monkeypatch.setattr(module, "comp_ranks", counted)
     for i, j in ((1, 1), (4, 7), (9, 9)):
-        calls.clear()
+        ranked.clear()
         y = delete_rows_cols(x, DeletionPattern((i,), (j,)))
         assert c1_decode(y, p, path="fast").array == x
-        assert len(calls) == 9
+        assert ranked == [9]
 
 
 @functools.cache

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from crisscross import onedim, scan
+from crisscross import scan
 from crisscross.code_c2 import (
     C2Params,
     c2_check,
@@ -159,25 +159,26 @@ def test_fast_decode_builds_one_scan_context(monkeypatch):
 
 
 def test_fast_decode_ranks_each_row_and_column_once(monkeypatch):
-    # interval location ranks the completion's compositions and the final
-    # test reuses them: rows + cols compositions per decode
+    # interval location ranks the completion's columns, then its rows, one
+    # kernel pass each, and the final test reuses them
     rng = random.Random(6)
     x = sample_valid(9, 12, 3, 2, rng, uniform_sums=True)
     p = c2_syndromes(x, 2)
-    calls, real = [], onedim.composition
+    ranked, real = [], scan.comp_ranks
 
-    def counted(seq, q):
-        calls.append(seq)
-        return real(seq, q)
+    def counted(table, q):
+        out = real(table, q)
+        ranked.append(len(out))
+        return out
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("crisscross") and "composition" in vars(module):
-            monkeypatch.setattr(module, "composition", counted)
+        if module.__name__.startswith("crisscross") and "comp_ranks" in vars(module):
+            monkeypatch.setattr(module, "comp_ranks", counted)
     for i, j in ((1, 1), (4, 7), (9, 12)):
-        calls.clear()
+        ranked.clear()
         y = delete_rows_cols(x, DeletionPattern((i,), (j,)))
         assert c2_decode(y, p, path="fast").array == x
-        assert len(calls) == 9 + 12
+        assert ranked == [12, 9]
 
 
 def test_decode_never_returns_a_non_member_on_random_minors():

@@ -1,5 +1,7 @@
 """Burst deletion code built from residue-interleaved subarrays."""
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -93,9 +95,9 @@ def test_decode_builds_one_scan_context_per_subarray(monkeypatch):
 
 
 def test_decode_builds_arrays_only_where_it_hands_them_on(monkeypatch):
-    # 2x2 residue classes: the anchor's minor for c2_decode, one array per
-    # resolved subarray (c2's fast path and resolve_deletion return them)
-    # and the result; the other minors are cut as row tuples
+    # 2x2 residue classes: the anchor's minor for c2_decode, the anchor
+    # array c2_decode returns, and the result; the other subarrays stay row
+    # tuples from the cut to the interleave
     rng = random.Random(12)
     x = make_codeword(rng, 12, 3, 2, 2, 1)
     p = c3_syndromes(x, 2, 2, 1)
@@ -108,7 +110,7 @@ def test_decode_builds_arrays_only_where_it_hands_them_on(monkeypatch):
         y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
         built.clear()
         assert c3_decode(y, p).array == x
-        assert len(built) == 1 + 4 + 1
+        assert len(built) == 3
 
 
 def test_syndromes_reject_unusable_anchor():
@@ -241,19 +243,38 @@ def _subs_2x2(x):
     return [[extract_residue_subarray(x, s, u, 2, 2) for u in (1, 2)] for s in (1, 2)]
 
 
+def _rectangle_moves(sub):
+    """sub with d added at (r1, c1) and (r2, c2) and taken at (r1, c2) and
+    (r2, c1), for every such rectangle and d: every row and column sum stays."""
+    q = sub.q
+    for r1, r2 in itertools.combinations(range(sub.rows), 2):
+        for c1, c2 in itertools.combinations(range(sub.cols), 2):
+            for d in range(1, q):
+                cells = [list(row) for row in sub.cells]
+                for r, c, e in ((r1, c1, d), (r1, c2, -d), (r2, c1, -d), (r2, c2, d)):
+                    cells[r][c] = (cells[r][c] + e) % q
+                yield Array2D(cells, q)
+
+
 @pytest.mark.parametrize("broken", ["grids", "weak validity"])
 def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
-    # The decoder checks the anchor inside c2_decode and the rest of c3_check
-    # on the subarrays it resolved: make the first non-anchor subarray (1, 2)
-    # come back tampered, breaking one of the two remaining conditions only.
+    # The decoder checks the anchor inside c2_decode and, on the subarrays
+    # it resolved, what resolve_deletion leaves open. Make the first
+    # non-anchor subarray (1, 2) come back tampered but true to the
+    # resolver's postcondition (the slot's sums and row parity, no band
+    # claimed as matched), breaking one band parity or weak validity only.
     rng = random.Random(12)
     x = make_codeword(rng, 8, 3, 2, 2, 1)
     subs = _subs_2x2(x)
     sub = subs[0][1]
     if broken == "grids":
-        # row 4 lies below the three unit bands: weak validity stays
-        tampered = _with_cell(sub, 3, 0, (sub.cells[3][0] + 1) % 3)
-        assert is_l_weakly_valid(tampered, 1)
+        # its slot in p's grids differs in one band parity, weak validity stays
+        tampered = next(
+            t for t in _rectangle_moves(sub)
+            if is_l_weakly_valid(t, 1)
+            and sum(map(operator.ne, parity_bits(t, 1), parity_bits(sub, 1))) == 1
+            and parity_bits(t, 1)[3] == parity_bits(sub, 1)[3]
+        )
     else:
         # equal adjacent cells in band 1; the class is taken from the result
         tampered = _with_cell(sub, 0, 1, sub.cells[0][0])
@@ -261,14 +282,14 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
         subs[0][1] = tampered
         x = interleave_residue_subarrays(subs, 2, 2)
     p = c3_syndromes(x, 2, 2, 1)
-    grids = code_c3._grids([[subs[0][0], tampered], subs[1]], 1, p.anchor)
-    assert (grids == (p.a, p.b, p.d)) == (broken == "weak validity")
+    assert (tampered.col_sums(), tampered.row_sums()[:-1]) == (p.a[0][1], p.b[0][1])
+    assert parity_bits(tampered, 1)[3] == p.d[0][1][3]
     real = code_c3.resolve_deletion
     calls = []
 
     def resolve(*args):
         calls.append(args)
-        return (tampered, None, None) if len(calls) == 1 else real(*args)
+        return (tampered.cells, None, None, None) if len(calls) == 1 else real(*args)
 
     monkeypatch.setattr(code_c3, "resolve_deletion", resolve)
     y = delete_rows_cols(x, BurstPattern(3, 5, 2, 2))

@@ -130,7 +130,7 @@ def test_composition_counts_symbols():
 
 
 def _reference_composition(x, q):
-    """The per-symbol loop that composition keeps for short or faulty input."""
+    """The per-symbol count, as a reference for composition."""
     if q < 2:
         raise InvalidParameterError("alphabet size must be at least 2")
     counts = [0] * q
@@ -155,8 +155,8 @@ _ODD_SYMBOLS = st.one_of(
 
 @st.composite
 def _symbol_sequences(draw):
-    """Sequences around composition's packing cutoff, 12 + 4q symbols, with up
-    to two entries swapped for bools, floats, negatives or symbols >= q."""
+    """Sequences of 0 to 13 + 4q symbols, with up to two entries swapped for
+    bools, floats, negatives or symbols >= q."""
     q = draw(st.sampled_from([2, 3, 255, 256, 257]))
     cut = 12 + 4 * q
     n = draw(st.sampled_from([0, 1, 11, cut - 1, cut, cut + 1]))

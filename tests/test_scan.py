@@ -63,6 +63,11 @@ def _reference_row_syndrome(ctx, i_hyp, new_row, new_col):
     return signature_syndrome(tuple(ranks), ctx.rows)
 
 
+def _assemble(ctx, i, j):
+    """The candidate array of hypothesis (i, j)."""
+    return Array2D(ctx.candidate_rows(i, j), ctx.q)
+
+
 def _hypotheses(ctx):
     for i, j in itertools.product(range(1, ctx.rows + 1), range(1, ctx.cols + 1)):
         yield i, j, ctx.forced_insertions(i, j)
@@ -104,7 +109,7 @@ def test_rank_screens_match_per_hypothesis_brute_force(case):
     cols, rows = ctx.col_ranks, ctx.row_ranks
     want = []
     for i, j, (new_row, new_col) in _hypotheses(ctx):
-        x = ctx.assemble(i, j)
+        x = _assemble(ctx, i, j)
         comps = ccr(x)
         assert ctx.corner(i, j) == new_row[j - 1] == new_col[i - 1]
         col_rank = cols.inserted_rank(i, ctx.corner(i, j))
@@ -168,7 +173,7 @@ def test_every_candidate_has_the_class_sums(case):
     y, a, full_b = case
     ctx = ScanContext(y, a, full_b)
     for i, j in itertools.product(range(1, len(full_b) + 1), range(1, len(a) + 1)):
-        x = ctx.assemble(i, j)
+        x = _assemble(ctx, i, j)
         assert x.col_sums() == a and x.row_sums() == full_b
 
 
@@ -181,9 +186,9 @@ def test_uniform_candidates_permute_the_completion_compositions(case):
     assert len(set(a)) == len(set(full_b)) == 1
     ctx = ScanContext(y, a, full_b)
     rows, cols = len(full_b), len(a)
-    completion = ctx.assemble(rows, cols)
+    completion = _assemble(ctx, rows, cols)
     for i, j in itertools.product(range(1, rows + 1), range(1, cols + 1)):
-        x = ctx.assemble(i, j)
+        x = _assemble(ctx, i, j)
         assert ccr(x) == move_last(ccr(completion), j)
         assert rcr(x) == move_last(rcr(completion), i)
 
@@ -199,7 +204,7 @@ def test_last_hypothesis_completes_the_minor_under_uniform_sums():
         rows, cols, q = len(p.full_b), len(p.a), p.q
         for _ in range(20):
             y = Array2D([[rng.randrange(q) for _ in range(cols - 1)] for _ in range(rows - 1)], q)
-            x = ScanContext(y, p.a, p.full_b).assemble(rows, cols)
+            x = _assemble(ScanContext(y, p.a, p.full_b), rows, cols)
             assert tuple(row[:-1] for row in x.cells[:-1]) == y.cells
             assert set(x.row_sums()) == {p.full_b[0]}
             assert set(x.col_sums()) == {p.a[0]}
@@ -215,10 +220,10 @@ def test_resolver_matches_parities_over_every_bracketed_candidate():
         a, full_b = (tuple(rng.randrange(3) for _ in range(4)) for _ in range(2))
         d = tuple(rng.randrange(2) for _ in range(4))
         ctx = ScanContext(y, a, full_b)
-        band = {j: ctx.assemble(2, j).cells[0] for j in (2, 3)}
+        band = {j: _assemble(ctx, 2, j).cells[0] for j in (2, 3)}
         col_tie = band[2] == band[3]
         j = 2 if col_tie else next(j for j in (2, 3) if inversions(band[j]) % 2 == d[0])
-        cands = {i: ctx.assemble(i, j) for i in (2, 3)}
+        cands = {i: _assemble(ctx, i, j) for i in (2, 3)}
         matches = [(i, x) for i, x in cands.items() if inversions(x.cells) % 2 == d[3]]
         try:
             got = resolve_deletion(ctx, 1, d, (2, 3), (2, 3))
@@ -232,8 +237,82 @@ def test_resolver_matches_parities_over_every_bracketed_candidate():
             continue
         row_tie = len(matches) == 2
         seen["row tie" if row_tie else "col tie" if col_tie else "exact"] += 1
-        assert got == (matches[0][1], None if row_tie else matches[0][0], None if col_tie else j)
+        # band 1 settled the column bracket, matching or tying
+        assert got == (
+            matches[0][1].cells, None if row_tie else matches[0][0], None if col_tie else j, 1
+        )
     assert min(seen.values()) >= 5 and len(seen) == 5, seen
+
+
+@st.composite
+def _rank_tables(draw):
+    """A table over q of 1-300 rows, both sides of the 255/256-row limit of
+    the byte-per-column counts, with a symbol at or above q planted or not."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 256, 257]))
+    rows = draw(st.one_of(st.integers(1, 300), st.sampled_from([254, 255, 256, 257])))
+    cols = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+    bad = draw(st.one_of(st.none(), st.integers(q, q + 300)))
+    if bad is not None:
+        table[rng.randrange(rows)][rng.randrange(cols)] = bad
+    return draw(st.sampled_from([tuple, list]))(map(tuple, table)), q, bad
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_rank_tables())
+def test_rank_kernel_ranks_each_column_like_composition(case):
+    table, q, bad = case
+    if bad is not None:
+        with pytest.raises(InvalidParameterError, match=f"symbol {bad} outside"):
+            scan.comp_ranks(table, q)
+        return
+    want = tuple(comp_rank(composition(col, q)) for col in zip(*table))
+    assert scan.comp_ranks(table, q) == want
+
+
+@st.composite
+def _resolver_cases(draw):
+    """An arbitrary minor with uniform or arbitrary sums that agree mod q,
+    parities for three bands of height l, and a bracket of one or two rows
+    and columns."""
+    q, l = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2))
+    rows, cols = draw(st.integers(3 * l, 3 * l + 3)), draw(st.integers(2, 7))
+    symbols = st.integers(0, q - 1)
+    y = Array2D(draw(st.lists(st.lists(symbols, min_size=cols - 1, max_size=cols - 1),
+                              min_size=rows - 1, max_size=rows - 1)), q)
+    uniform = [(av, bv) for av in range(q) for bv in range(q) if (rows * bv - cols * av) % q == 0]
+    if draw(st.booleans()):
+        av, bv = draw(st.sampled_from(uniform))
+        a, b = cols * (av,), (rows - 1) * (bv,)
+    else:
+        a = tuple(draw(st.lists(symbols, min_size=cols, max_size=cols)))
+        b = tuple(draw(st.lists(symbols, min_size=rows - 1, max_size=rows - 1)))
+    full_b = b + ((sum(a) - sum(b)) % q,)
+    d = tuple(draw(st.integers(0, 1)) for _ in range(4))
+    lo, j = draw(st.integers(1, rows - 1)), draw(st.integers(1, cols - 1))
+    brackets = (lo, draw(st.sampled_from([lo, lo + 1]))), (j, draw(st.sampled_from([j, j + 1])))
+    return ScanContext(y, a, full_b), a, l, d, *brackets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_resolver_cases())
+def test_resolver_candidate_has_the_class_sums_and_row_parity(case):
+    # the fast paths test only weak validity and the open band parities on it
+    ctx, a, l, d, row_interval, col_interval = case
+    try:
+        rows, i, j, band = resolve_deletion(ctx, l, d, row_interval, col_interval)
+    except (NotACodewordError, AmbiguityError):
+        return
+    x = Array2D(rows, ctx.q)
+    assert x.col_sums() == a and x.row_sums() == ctx.full_b
+    assert inversions(rows) % 2 == d[3]
+    assert rows == ctx.candidate_rows(row_interval[0] if i is None else i, j or col_interval[0])
+    assert (band is None) == (col_interval[0] == col_interval[1])
+    if band is not None:
+        cols = tuple(zip(*rows[(band - 1) * l:band * l]))
+        tie = j is None and cols[col_interval[0] - 1] == cols[col_interval[0]]
+        assert tie or inversions(cols) % 2 == d[band - 1]
 
 
 def test_decode_route_takes_fast_exactly_for_uniform_sums():
@@ -297,7 +376,7 @@ def _reference_scan(y, p, check):
     ctx = ScanContext(y, p.a, p.full_b)
     survivors = {}
     for i, j, _ in _hypotheses(ctx):
-        cand = ctx.assemble(i, j)
+        cand = _assemble(ctx, i, j)
         if check(cand, p):
             survivors.setdefault(cand, []).append((i, j))
     return scan_verdict(survivors, "scan")
@@ -404,7 +483,7 @@ def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monk
     passing = []
     for y in minors:
         ctx = ScanContext(y, p.a, p.full_b)
-        cands = (ctx.assemble(i, j) for i, j, _ in _hypotheses(ctx))
+        cands = (_assemble(ctx, i, j) for i, j, _ in _hypotheses(ctx))
         passing.append(sum(syndromes(cand) == targets for cand in cands))
     assert min(passing[:6]) >= 1  # the true minors
     calls = _count_calls(monkeypatch, {"c1_check", "c2_check", "comp_ranks", "transpose"})
@@ -421,3 +500,25 @@ def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monk
         assert built[scan.ScanContext] == 1
         assert built[Array2D] <= most
     assert not calls
+
+
+def test_c2_scan_builds_arrays_only_for_distinct_survivors(monkeypatch):
+    # band validity and parities are tested on the candidates' row tuples,
+    # so the decode builds one array per distinct member it found and no other
+    rng, x, p = _non_uniform(lambda r: sample_valid(12, 9, 2, 3, r), lambda x: c2_syndromes(x, 3), 31)
+    minors = list(_minors(rng, x, 8))
+    survivors = []
+    for y in minors:
+        ctx = ScanContext(y, p.a, p.full_b)
+        cands = {_assemble(ctx, i, j) for i, j, _ in _hypotheses(ctx)}
+        survivors.append({cand for cand in cands if c2_check(cand, p)})
+    assert sum(map(len, survivors)) >= 8  # the true minors at least
+    built = []
+    init = Array2D.__init__
+    monkeypatch.setattr(
+        Array2D, "__init__", lambda self, *args: built.append(init(self, *args) or self)
+    )
+    for y, want in zip(minors, survivors):
+        built.clear()
+        _outcome(c2_decode, y, p, "scan")
+        assert set(built) == want and len(built) == len(want)

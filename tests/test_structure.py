@@ -4,9 +4,11 @@ Modules share helpers only through public names, import only at module level
 and only what they use, call every private function they define, and choose a
 construction through the table in params_io rather than by testing parameter
 types. The decoder helpers in scan.py exist for the constructions, so each
-public one is used by another module.
+public one is used by another module. One rule is checked on the imported
+modules instead: none builds a large table at import.
 """
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crisscross"
@@ -116,4 +118,20 @@ def test_every_public_scan_function_is_used_by_another_module():
         and not node.name.startswith("_")
         and node.name not in used_elsewhere
     ]
+    assert not bad
+
+
+def test_no_module_builds_a_large_container_at_import():
+    # every run of the library pays for its import; a lookup table is built
+    # lazily where it is used, never as a module global
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"crisscross.{path.stem}".removesuffix(".__init__"))
+        bad += [
+            f"{path.name} {name}: {len(value)} entries"
+            for name, value in vars(module).items()
+            if not name.startswith("__")
+            and isinstance(value, (list, tuple, dict, set, frozenset, bytes, bytearray))
+            and len(value) > 64
+        ]
     assert not bad
