@@ -20,7 +20,7 @@ import operator
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 from .core_array import (
     DEFAULT_ENUMERATION_CAP,
@@ -29,7 +29,7 @@ from .core_array import (
     packed_deletion_ball,
 )
 from .errors import CapacityError, InvalidParameterError
-from .reprs import is_l_valid
+from .reprs import check_band_height, is_l_valid
 
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_WITNESS_CAP = 4096
@@ -126,7 +126,7 @@ def sp_lower_bound(n: int, q: int, t_r: int, t_c: int) -> BoundDetail:
     k2 = 1 - (q / (q - 1)) * (eps - (1 / q + eps - 4 * t_c + 4) / n)
 
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
         c2_bound = Decimal(q) ** (n * n) / Decimal(n) ** (n * (t_r + t_c + 1))
         if k1 <= 0 or k2 <= 0:
             c1_bound = Decimal("Infinity")
@@ -348,7 +348,7 @@ def count_good_exact(n: int, q: int, state_cap: int = DEFAULT_STATE_CAP) -> Coun
     return CountReport(
         method="transfer_matrix",
         exact=chains.totals[-1],
-        lower_bound=Decimal(q) ** (n * n - 1),
+        lower_bound=Context(getcontext().prec, Emax=MAX_EMAX, Emin=MIN_EMIN).power(q, n * n - 1),
     )
 
 
@@ -376,8 +376,9 @@ def count_valid(n: int, q: int, l: int, trials: int, seed: int) -> CountReport:
     n >= max(3l, q^2) with q | n). Adds the exact count by enumeration when
     the space is small enough.
     """
-    if q < 2 or l < 1 or n < 3 * l:
-        raise InvalidParameterError("need q >= 2, l >= 1 and n >= 3l")
+    if q < 2:
+        raise InvalidParameterError("alphabet size must be at least 2")
+    check_band_height(n, l)
     if trials < 0:
         raise InvalidParameterError("need trials >= 0")
     rng = random.Random(seed)
@@ -394,7 +395,7 @@ def count_valid(n: int, q: int, l: int, trials: int, seed: int) -> CountReport:
         slack = 2 / n
     factor = 1 - 3 * n / q**l - slack
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
         formula = Decimal(factor) * Decimal(q) ** (n * n)
 
     exact = None

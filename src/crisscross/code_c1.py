@@ -128,7 +128,7 @@ def c1_decode(y: Array2D, p: C1Params, path: str = "auto") -> DecodeOutcome:
 
 def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     n = p.n
-    ctx = ScanContext(y, p.a, p.full_b)
+    ctx = ScanContext(y.cells, p.a, p.full_b, p.q)
     # With uniform sums the candidate of hypothesis (n, n) completes y, the
     # deleted row and column last, whatever the deleted positions.
     ranks = comp_ranks(ctx.candidate_rows(n, n), p.q)
@@ -148,7 +148,7 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
 
 
 def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
-    ctx = ScanContext(y, p.a, p.full_b)
+    ctx = ScanContext(y.cells, p.a, p.full_b, p.q)
     by_col = {}
     survivors: dict[Array2D, list[tuple[int, int]]] = {}
     for i_hyp, j_hyp, distinct, _ in column_rank_screen(ctx, p.c):

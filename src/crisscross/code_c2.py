@@ -18,14 +18,13 @@ from .errors import (
 )
 from .onedim import inversions, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import bands_fit, check_band_height, no_triple_runs
+from .reprs import bands_fit, check_band_height, no_triple_runs, parity_bits
 from .scan import (
     ScanContext,
     column_rank_screen,
     comp_ranks,
     decode_route,
     move_last,
-    parity_bits,
     resolve_deletion,
     scan_verdict,
 )
@@ -51,12 +50,7 @@ class C2Params:
     rows_distinct: bool = False
 
     def __post_init__(self):
-        if self.l < 1:
-            raise InvalidParameterError("band height must be positive")
-        if self.rows < 3 * self.l:
-            raise InvalidParameterError(
-                f"rows {self.rows} cannot hold three bands of height {self.l}"
-            )
+        check_band_height(self.rows, self.l)
         if self.cols < 2:
             raise InvalidParameterError("need at least two columns to delete one")
         if self.q < 2:
@@ -104,7 +98,7 @@ def _class_of(x: Array2D, col_ranks, row_ranks, l: int, rows_distinct: bool) -> 
         a=x.col_sums(),
         b=x.row_sums()[: x.rows - 1],
         c=(signature_syndrome(col_ranks, x.cols), signature_syndrome(row_ranks, x.rows)),
-        d=parity_bits(x, l),
+        d=parity_bits(x.cells, l),
         rows_distinct=rows_distinct,
     )
 
@@ -122,8 +116,7 @@ def _fits(rows, col_ranks, row_ranks, l: int, rows_distinct: bool, d=None, match
 
 def c2_syndromes(x: Array2D, l: int, rows_distinct: bool = False) -> C2Params:
     """Parameters of the class containing x (band height l)."""
-    if x.rows < 3 * l:
-        raise InvalidParameterError(f"rows {x.rows} cannot hold three bands of height {l}")
+    check_band_height(x.rows, l)
     return _class_of(x, *_ranks(x), l, rows_distinct)
 
 
@@ -160,14 +153,14 @@ def c2_locate_intervals(y: Array2D, p: C2Params) -> IntervalLocation:
     """
     if not p.uniform:
         raise InvalidParameterError("interval location requires uniform sums")
+    require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
     return _locate(y, p)[1]
 
 
 def _locate(y: Array2D, p: C2Params):
     """c2_locate_intervals on a class with uniform sums, plus its ScanContext
     and the completion's composition ranks."""
-    require_shape(y, p.rows - 1, p.cols - 1, p.q, "a single deletion")
-    ctx = ScanContext(y, p.a, p.full_b)
+    ctx = ScanContext(y.cells, p.a, p.full_b, p.q)
     rows = ctx.candidate_rows(p.rows, p.cols)
     col_obs = comp_ranks(rows, p.q)
     _, col_run = vt_decode_known_symbol(col_obs[:-1], col_obs[-1], p.c[0], p.cols)
@@ -209,7 +202,7 @@ def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
 
 
 def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
-    ctx = ScanContext(y, p.a, p.full_b)
+    ctx = ScanContext(y.cells, p.a, p.full_b, p.q)
     cols, rows = ctx.col_ranks, ctx.row_ranks
     survivors: dict[tuple, list[tuple[int, int]]] = {}
     for i_hyp, j_hyp, _, col_rank in column_rank_screen(ctx, p.c[0]):

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .code_c2 import C2Params, c2_check, c2_decode, c2_member_class
-from .core_array import Array2D, interleave_cells, require_shape
+from .code_c2 import C2Params, c2_decode, c2_member_class
+from .core_array import Array2D, interleave_cells, require_shape, residue_cells
 from .errors import (
     CodePropertyError,
     InvalidParameterError,
@@ -27,8 +27,8 @@ from .errors import (
     NotInstantiableError,
 )
 from .outcome import DecodeOutcome
-from .reprs import bands_fit
-from .scan import ScanContext, parity_bits, resolve_deletion
+from .reprs import bands_fit, check_band_height, parity_bits
+from .scan import ScanContext, resolve_deletion
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
 BitGrid = tuple[tuple[tuple[int, int, int, int], ...], ...]
@@ -65,10 +65,7 @@ class C3Params:
                 f"burst lengths ({self.t_r}, {self.t_c}) must divide n={self.n}"
             )
         m_r, m_c = self.m_r, self.m_c
-        if self.l < 1 or m_r < 3 * self.l:
-            raise InvalidParameterError(
-                f"subarrays have {m_r} rows, too few for three bands of height {self.l}"
-            )
+        check_band_height(m_r, self.l)
         if m_c < 2:
             raise InvalidParameterError("subarrays need at least two columns")
         for name, grid, width in (("a", self.a, m_c), ("b", self.b, m_r - 1)):
@@ -111,13 +108,6 @@ class C3Params:
         return bs + (last,)
 
 
-def _subarrays(x: Array2D, t_r: int, t_c: int) -> list[list[tuple]]:
-    """Row tuples of every residue subarray of x, indexed [s_r - 1][s_c - 1]."""
-    return [
-        [tuple(row[u::t_c] for row in x.cells[s::t_r]) for u in range(t_c)] for s in range(t_r)
-    ]
-
-
 def _slot(rows, q: int, l: int) -> tuple:
     """A subarray's column sums, all its row sums but the last, and its parity
     bits, from its row tuples."""
@@ -147,7 +137,7 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
         raise InvalidParameterError("the burst code is defined on square arrays")
     if t_r < 1 or t_c < 1 or x.rows % t_r or x.cols % t_c:
         raise InvalidParameterError(f"burst lengths ({t_r}, {t_c}) must divide n={x.rows}")
-    subs = _subarrays(x, t_r, t_c)
+    subs = residue_cells(x.cells, t_r, t_c)
     anchor = c2_member_class(Array2D(subs[0][0], x.q), l, rows_distinct=True)
     if anchor is None:
         raise NotInstantiableError(
@@ -158,13 +148,15 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
 
 
 def c3_check(x: Array2D, p: C3Params) -> bool:
-    """Membership test: the anchor subarray is in the anchor class, every
-    other subarray is weakly band-valid, and their grid slots are p's."""
+    """Membership test: the anchor subarray's member class is p's anchor, every
+    other subarray is weakly band-valid, and the grids are p's, as c3_syndromes."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
-    subs = _subarrays(x, p.t_r, p.t_c)
-    return c2_check(Array2D(subs[0][0], p.q), p.anchor) and all(
-        bands_fit(rows, p.l) and _slot(rows, p.q, p.l) == (p.a[s][u], p.b[s][u], p.d[s][u])
-        for s, row in enumerate(subs) for u, rows in enumerate(row) if s or u
+    subs = residue_cells(x.cells, p.t_r, p.t_c)
+    anchor = c2_member_class(Array2D(subs[0][0], p.q), p.l, rows_distinct=True)
+    return (
+        anchor == p.anchor
+        and all(bands_fit(rows, p.l) for rows in [*itertools.chain(*subs)][1:])
+        and _grids(subs, p.q, p.l, anchor) == (p.a, p.b, p.d)
     )
 
 
@@ -197,7 +189,7 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
         raise InvalidParameterError(f"the burst decoder has a single path, not {path!r}")
     require_shape(y, p.n - p.t_r, p.n - p.t_c, p.q, f"a {p.t_r}x{p.t_c} burst deletion")
 
-    parts = _subarrays(y, p.t_r, p.t_c)
+    parts = residue_cells(y.cells, p.t_r, p.t_c)
     anchor_out = c2_decode(Array2D(parts[0][0], p.q), p.anchor)
     if not (anchor_out.row_exact and anchor_out.col_exact):
         raise CodePropertyError(

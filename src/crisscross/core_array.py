@@ -394,25 +394,31 @@ def extract_residue_subarray(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int)
     Residues are 1-based: class s picks indices s, s + t, s + 2t, ...
     Requires t_r to divide the row count and t_c the column count.
     """
-    _check_residue_args(x, s_r, s_c, t_r, t_c)
-    return Array2D(tuple(row[s_c - 1::t_c] for row in x.cells[s_r - 1::t_r]), x.q)
-
-
-def _check_residue_args(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int) -> None:
-    if t_r < 1 or t_c < 1:
-        raise InvalidParameterError("residue moduli must be positive")
+    _check_moduli(t_r, t_c)
     if x.rows % t_r or x.cols % t_c:
         raise InvalidParameterError(
             f"moduli ({t_r}, {t_c}) must divide the shape {x.rows}x{x.cols}"
         )
     if not (1 <= s_r <= t_r and 1 <= s_c <= t_c):
         raise InvalidParameterError(f"residue ({s_r}, {s_c}) outside [1,{t_r}]x[1,{t_c}]")
+    return Array2D(residue_cells(x.cells, t_r, t_c)[s_r - 1][s_c - 1], x.q)
+
+
+def residue_cells(cells, t_r: int, t_c: int) -> list[list[tuple]]:
+    """Row tuples of every residue subarray of cells, indexed [s_r - 1][s_c - 1]."""
+    return [[tuple(row[u::t_c] for row in cells[s::t_r]) for u in range(t_c)] for s in range(t_r)]
+
+
+def _check_moduli(t_r: int, t_c: int) -> None:
+    if t_r < 1 or t_c < 1:
+        raise InvalidParameterError("residue moduli must be positive")
 
 
 def interleave_residue_subarrays(
     parts: Sequence[Sequence[Array2D]], t_r: int, t_c: int
 ) -> Array2D:
     """Inverse of residue extraction: parts[s_r-1][s_c-1] is the (s_r, s_c) class."""
+    _check_moduli(t_r, t_c)
     if len(parts) != t_r or any(len(row) != t_c for row in parts):
         raise InvalidParameterError(f"need a {t_r}x{t_c} grid of subarrays")
     first = parts[0][0]

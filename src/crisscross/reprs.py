@@ -1,7 +1,7 @@
 """Array representations used by the code constructions.
 
-Column and row composition sequences, base-q row/column integers, and the
-"good" / band-validity structural predicates.
+Column and row composition sequences, base-q row/column integers, the "good"
+predicate, and the band rules: height bound, cut, validity and parities.
 """
 from __future__ import annotations
 
@@ -69,16 +69,27 @@ def is_l_weakly_valid(x: Array2D, l: int) -> bool:
     return bands_fit(x.cells, l)
 
 
+def band_cols(rows, l: int, k: int) -> tuple:
+    """The columns, as digit tuples, of the k-th (1-based) height-l band of rows."""
+    return tuple(zip(*rows[(k - 1) * l:k * l]))
+
+
 def bands_fit(rows, l: int, d=None, matched: int | None = None) -> bool:
     """Weak validity of the row tuples rows and, if d is given, inversion parity
     d[k - 1] of each band k = 1, 2, 3 but matched, off one transpose per band."""
     for k in (1, 2, 3):
-        band = tuple(zip(*rows[(k - 1) * l:k * l]))
+        band = band_cols(rows, l, k)
         if any(map(operator.eq, band, band[1:])) or (
             d and k != matched and inversions(band) % 2 != d[k - 1]
         ):
             return False
     return True
+
+
+def parity_bits(rows, l: int) -> tuple[int, int, int, int]:
+    """Inversion parities of the three height-l bands' column integers, then of
+    the row integers, each read as its tuple of digits, of the row tuples rows."""
+    return (*(inversions(band_cols(rows, l, k)) % 2 for k in (1, 2, 3)), inversions(rows) % 2)
 
 
 def is_l_valid(x: Array2D, l: int) -> bool:
@@ -89,7 +100,7 @@ def is_l_valid(x: Array2D, l: int) -> bool:
     of the first three height-l bands.
     """
     check_band_height(x.rows, l)
-    return no_triple_runs(ccr(x)) and no_triple_runs(rcr(x)) and is_l_weakly_valid(x, l)
+    return no_triple_runs(ccr(x)) and no_triple_runs(rcr(x)) and bands_fit(x.cells, l)
 
 
 def rows_are_distinct(x: Array2D) -> bool:

@@ -31,10 +31,10 @@ bracket of at most two positions per axis by band and row inversion
 parities, for c2's fast path and for each residue subarray of c3; it needs
 no uniform sums, and hands the candidate on as row tuples.
 
-Parities and syndromes that the paper states on base-q integers (a band's
-columns, an array's rows) read each integer as its tuple of digits instead:
-equal-length tuples over {0, ..., q-1} order exactly like their base-q
-values, and tuples are compared at C level, never converted.
+Y comes as row tuples over q, its shape checked by the public decoder. The
+integers that the paper's parities and syndromes read (reprs' band columns,
+an array's rows) are read as their digit tuples: equal-length tuples over
+{0, ..., q-1} order exactly like their base-q values, and compare at C level.
 """
 from __future__ import annotations
 
@@ -42,10 +42,10 @@ from functools import cache, cached_property
 from itertools import accumulate
 from operator import sub
 
-from .core_array import Array2D
 from .errors import AmbiguityError, InvalidParameterError, NotACodewordError
 from .onedim import comp_rank, composition, compositions, inserted_syndrome, inversions
 from .outcome import DecodeOutcome
+from .reprs import band_cols
 
 
 def _ranked(comp: tuple[int, ...], v: int) -> int:
@@ -79,19 +79,13 @@ class RankTable:
 
 
 class ScanContext:
-    """The received minor y (an Array2D, or its row tuples over q) with the
-    class's column and row sums, which force the candidate array of every
-    deletion hypothesis; if sum(a) == sum(full_b) mod q, each candidate has
-    column sums a and row sums full_b."""
+    """A received minor's row tuples cells over q, one row and one column short
+    of len(full_b) x len(a), with the class's column and row sums, which force
+    the candidate array of every deletion hypothesis; if sum(a) == sum(full_b)
+    mod q, each candidate has column sums a and row sums full_b."""
 
-    def __init__(self, y, a: tuple[int, ...], full_b: tuple[int, ...], q: int | None = None):
-        cells, q = (y.cells, y.q) if q is None else (y, q)
+    def __init__(self, cells, a: tuple[int, ...], full_b: tuple[int, ...], q: int):
         rows, cols = len(full_b), len(a)
-        if len(cells) != rows - 1 or len(cells[0]) != cols - 1:
-            raise InvalidParameterError(
-                f"received shape {len(cells)}x{len(cells[0])} does not match a single "
-                f"criss-cross deletion from {rows}x{cols}"
-            )
         self.q, self.rows, self.cols, self.full_b, self.cells = q, rows, cols, full_b, cells
         col_sums = list(map(sum, zip(*cells)))
         row_sums = list(map(sum, cells))
@@ -221,18 +215,6 @@ def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
     )
 
 
-def _band(rows, l: int, k: int) -> tuple:
-    """The columns, as digit tuples, of the k-th (1-based) height-l band of rows."""
-    return tuple(zip(*rows[(k - 1) * l:k * l]))
-
-
-def parity_bits(x, l: int) -> tuple[int, int, int, int]:
-    """Inversion parities of the three height-l bands' column integers, then of
-    the row integers, each read as its tuple of digits, of an Array2D or its rows."""
-    cells = x.cells if isinstance(x, Array2D) else x
-    return (*(inversions(_band(cells, l, k)) % 2 for k in (1, 2, 3)), inversions(cells) % 2)
-
-
 def resolve_deletion(
     ctx: ScanContext, l: int, d: tuple[int, int, int, int],
     row_interval: tuple[int, int], col_interval: tuple[int, int],
@@ -259,7 +241,7 @@ def resolve_deletion(
         # avoids an interval that starts below it; else lo <= l, band 2
         # avoids it if hi <= l, and band 3 does as hi <= lo + 1 <= 2 * l.
         k = 1 if lo > l else 2 if hi <= l else 3
-        band = _band(first, l, k)
+        band = band_cols(first, l, k)
         col_exact = band[j - 1] != band[j]
         if col_exact and inversions(band) % 2 != d[k - 1]:
             j += 1

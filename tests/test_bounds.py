@@ -6,7 +6,9 @@ from decimal import Decimal
 
 import pytest
 
+from crisscross import bounds
 from crisscross.bounds import (
+    GoodChains,
     caro_wei_witness,
     count_good_exact,
     count_valid,
@@ -170,6 +172,25 @@ def test_count_valid_monte_carlo_is_deterministic():
     assert 0 < a.estimate < 1
     with pytest.raises(InvalidParameterError):
         count_valid(4, 2, 2, trials=10, seed=0)  # rows < 3l
+
+
+def test_bounds_run_past_the_default_decimal_exponent_range():
+    # q ** (n * n) passes the default decimal Emax of 999999 from n = 1822 at
+    # q = 2; the values keep their 60 significant digits all the same
+    det = sp_lower_bound(1900, 2, 1, 1)
+    assert det.c2_bound.adjusted() > 999999 and len(det.c2_bound.as_tuple().digits) == 60
+    assert math.isfinite(det.chain_bits)
+    assert sp_lower_bound(600, 1000, 1, 1).c2_bound.adjusted() > 999999
+    rep = count_valid(2000, 2, 1, trials=0, seed=1)
+    assert rep.method == "formula"
+    assert rep.lower_bound.adjusted() == 1204123 and len(rep.lower_bound.as_tuple().digits) == 60
+
+
+def test_count_good_reference_bound_past_the_default_decimal_exponent_range(monkeypatch):
+    # the exact count at n = 1900 is out of reach, its reference value is not
+    monkeypatch.setattr(bounds, "good_chains", lambda *args, **kwargs: (GoodChains((1,)),))
+    rep = count_good_exact(1900, 2)
+    assert rep.lower_bound.adjusted() == 1086717 and len(rep.lower_bound.as_tuple().digits) == 28
 
 
 def test_max_constant_composition_class():

@@ -353,6 +353,20 @@ def test_count_modes_and_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["bounds", "--n", "1900", "--q", "2"], "1900,2,1,1,3821.7836,"),
+    (["bounds", "--n", "600", "--q", "1000"], "600,1000,1,1,11977.3988,"),
+    (["count", "--mode", "valid", "--n", "2000", "--q", "2", "--l", "1", "--trials", "0",
+      "--seed", "1"], "lower_bound=-2.88245641119048572823557795423729853873845000336157677562754E+1204123"),
+])
+def test_bounds_and_counts_past_the_default_decimal_exponent_range(capsys, argv, start):
+    # q ** (n * n) passes the default decimal Emax of 999999 from n = 1822 at q = 2
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert any(line.startswith(start) for line in captured.out.splitlines())
+    assert captured.err == ""
+
+
 def test_stdin_dash_input(capsys, monkeypatch, c1_files):
     x, params, _ = c1_files
     monkeypatch.setattr(sys, "stdin", io.StringIO(array_to_text(x)))

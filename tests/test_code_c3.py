@@ -24,7 +24,7 @@ from crisscross.errors import (
     NotInstantiableError,
 )
 from crisscross.reprs import is_l_weakly_valid
-from crisscross.scan import parity_bits
+from crisscross.reprs import parity_bits
 from crisscross.verify import sample_valid, sample_weakly_valid
 
 
@@ -71,7 +71,7 @@ def test_syndromes_equal_the_per_subarray_reference(t):
             anchor=c2_syndromes(subs[0][0], l, rows_distinct=True),
             a=tuple(tuple(sub.col_sums() for sub in row) for row in subs),
             b=tuple(tuple(sub.row_sums()[:-1] for sub in row) for row in subs),
-            d=tuple(tuple(parity_bits(sub, l) for sub in row) for row in subs),
+            d=tuple(tuple(parity_bits(sub.cells, l) for sub in row) for row in subs),
         )
         assert c3_syndromes(x, t, t, l) == want
 
@@ -272,8 +272,8 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
         tampered = next(
             t for t in _rectangle_moves(sub)
             if is_l_weakly_valid(t, 1)
-            and sum(map(operator.ne, parity_bits(t, 1), parity_bits(sub, 1))) == 1
-            and parity_bits(t, 1)[3] == parity_bits(sub, 1)[3]
+            and sum(map(operator.ne, parity_bits(t.cells, 1), parity_bits(sub.cells, 1))) == 1
+            and parity_bits(t.cells, 1)[3] == parity_bits(sub.cells, 1)[3]
         )
     else:
         # equal adjacent cells in band 1; the class is taken from the result
@@ -283,7 +283,7 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
         x = interleave_residue_subarrays(subs, 2, 2)
     p = c3_syndromes(x, 2, 2, 1)
     assert (tampered.col_sums(), tampered.row_sums()[:-1]) == (p.a[0][1], p.b[0][1])
-    assert parity_bits(tampered, 1)[3] == p.d[0][1][3]
+    assert parity_bits(tampered.cells, 1)[3] == p.d[0][1][3]
     real = code_c3.resolve_deletion
     calls = []
 

@@ -22,7 +22,9 @@ from crisscross.core_array import (
     enumerate_arrays,
     extract_residue_subarray,
     insertion_ball_raw,
+    interleave_cells,
     interleave_residue_subarrays,
+    residue_cells,
     transpose,
 )
 from crisscross.errors import CapacityError, InvalidParameterError
@@ -275,6 +277,16 @@ def test_interleave_inverts_extraction(q, t_r, t_c, m_r, m_c, rng):
                 for i in range(s_r, rows + 1, t_r)
             )
     assert interleave_residue_subarrays(parts, t_r, t_c) == x
+    assert residue_cells(x.cells, t_r, t_c) == [[part.cells for part in row] for row in parts]
+    assert interleave_cells(residue_cells(x.cells, t_r, t_c)) == list(x.cells)
+
+
+@pytest.mark.parametrize("parts, t_r, t_c", [([], 0, 0), ([[]], 1, 0), ([], 0, 1), ([[X33]], 1, -1)])
+def test_interleave_refuses_nonpositive_moduli_like_extraction(parts, t_r, t_c):
+    with pytest.raises(InvalidParameterError, match="residue moduli must be positive"):
+        interleave_residue_subarrays(parts, t_r, t_c)
+    with pytest.raises(InvalidParameterError, match="residue moduli must be positive"):
+        extract_residue_subarray(X33, 1, 1, t_r, t_c)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,13 @@
 """Column compositions, base-q integer readings, structural predicates."""
 
 import itertools
+import random
 
 import pytest
 
+from crisscross.bounds import count_valid
+from crisscross.code_c2 import C2Params, c2_syndromes
+from crisscross.code_c3 import C3Params, c3_syndromes
 from crisscross.core_array import Array2D, enumerate_arrays, transpose
 from crisscross.errors import InvalidParameterError
 from crisscross.reprs import (
@@ -17,6 +21,7 @@ from crisscross.reprs import (
     rir,
     rows_are_distinct,
 )
+from crisscross.verify import sample_valid, sample_weakly_valid
 
 X = Array2D([[0, 1, 2], [2, 0, 1], [1, 1, 0]], 3)
 
@@ -116,3 +121,37 @@ def test_validity_is_invariant_under_symbol_relabeling():
         flipped = Array2D([[1 - v for v in row] for row in x.cells], 2)
         assert is_l_valid(x, 1) == is_l_valid(flipped, 1)
         assert is_good(x) == is_good(flipped)
+
+
+def _zeros(rows, cols):
+    return Array2D([[0] * cols] * rows, 2)
+
+
+# Every entry that bounds the band height, called with an array or class of
+# `rows` rows (c3: subarrays of `rows` rows) and band height l.
+BAND_HEIGHT_ENTRIES = {
+    "C2Params": lambda rows, l: C2Params(
+        rows=rows, cols=4, q=2, l=l, a=(0,) * 4, b=(0,) * (rows - 1), c=(0, 0), d=(0,) * 4
+    ),
+    "c2_syndromes": lambda rows, l: c2_syndromes(_zeros(rows, 4), l),
+    "is_l_valid": lambda rows, l: is_l_valid(_zeros(rows, 4), l),
+    "is_l_weakly_valid": lambda rows, l: is_l_weakly_valid(_zeros(rows, 4), l),
+    "C3Params": lambda rows, l: C3Params(
+        n=2 * rows, q=2, t_r=2, t_c=1, l=l, anchor=None, a=(), b=(), d=()
+    ),
+    "c3_syndromes": lambda rows, l: c3_syndromes(_zeros(2 * rows, 2 * rows), 2, 2, l),
+    "count_valid": lambda rows, l: count_valid(rows, 2, l, trials=0, seed=0),
+    "sample_valid": lambda rows, l: sample_valid(rows, 4, 2, l, random.Random(0)),
+    "sample_weakly_valid": lambda rows, l: sample_weakly_valid(rows, 4, 2, l, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAND_HEIGHT_ENTRIES))
+@pytest.mark.parametrize("rows, l, message", [
+    (4, 0, "band height must be positive"),
+    (4, -1, "band height must be positive"),
+    (5, 2, "3 bands"),
+])
+def test_every_entry_bounds_the_band_height_by_one_rule(entry, rows, l, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        BAND_HEIGHT_ENTRIES[entry](rows, l)

@@ -21,12 +21,11 @@ from crisscross.errors import (
     NotACodewordError,
 )
 from crisscross.onedim import comp_rank, composition, inversions, signature_syndrome
-from crisscross.reprs import ccr, rcr, rir
+from crisscross.reprs import ccr, parity_bits, rcr, rir
 from crisscross.scan import (
     ScanContext,
     column_rank_screen,
     move_last,
-    parity_bits,
     resolve_deletion,
     scan_verdict,
 )
@@ -104,7 +103,7 @@ def _scan_cases(draw):
 @given(_scan_cases())
 def test_rank_screens_match_per_hypothesis_brute_force(case):
     family, p, y = case
-    ctx = ScanContext(y, p.a, p.full_b)
+    ctx = ScanContext(y.cells, p.a, p.full_b, y.q)
     col_target = p.c if family == "c1" else p.c[0]
     cols, rows = ctx.col_ranks, ctx.row_ranks
     want = []
@@ -143,7 +142,7 @@ def test_parity_bits_match_the_base_q_integer_formula(q, l, extra, cols, rng):
         inversions(tuple(_column_int(x.cells[k * l:(k + 1) * l], j, q) for j in range(cols))) % 2
         for k in range(3)
     ]
-    assert parity_bits(x, l) == (*bands, inversions(rir(x)) % 2)
+    assert parity_bits(x.cells, l) == (*bands, inversions(rir(x)) % 2)
 
 
 @st.composite
@@ -171,7 +170,7 @@ def _sums_cases(draw, uniform=st.booleans()):
 def test_every_candidate_has_the_class_sums(case):
     # the fast paths' final tests skip the sums on this ground
     y, a, full_b = case
-    ctx = ScanContext(y, a, full_b)
+    ctx = ScanContext(y.cells, a, full_b, y.q)
     for i, j in itertools.product(range(1, len(full_b) + 1), range(1, len(a) + 1)):
         x = _assemble(ctx, i, j)
         assert x.col_sums() == a and x.row_sums() == full_b
@@ -184,7 +183,7 @@ def test_uniform_candidates_permute_the_completion_compositions(case):
     # the completion's, the last one moved to the deleted position
     y, a, full_b = case
     assert len(set(a)) == len(set(full_b)) == 1
-    ctx = ScanContext(y, a, full_b)
+    ctx = ScanContext(y.cells, a, full_b, y.q)
     rows, cols = len(full_b), len(a)
     completion = _assemble(ctx, rows, cols)
     for i, j in itertools.product(range(1, rows + 1), range(1, cols + 1)):
@@ -204,7 +203,7 @@ def test_last_hypothesis_completes_the_minor_under_uniform_sums():
         rows, cols, q = len(p.full_b), len(p.a), p.q
         for _ in range(20):
             y = Array2D([[rng.randrange(q) for _ in range(cols - 1)] for _ in range(rows - 1)], q)
-            x = _assemble(ScanContext(y, p.a, p.full_b), rows, cols)
+            x = _assemble(ScanContext(y.cells, p.a, p.full_b, y.q), rows, cols)
             assert tuple(row[:-1] for row in x.cells[:-1]) == y.cells
             assert set(x.row_sums()) == {p.full_b[0]}
             assert set(x.col_sums()) == {p.a[0]}
@@ -219,7 +218,7 @@ def test_resolver_matches_parities_over_every_bracketed_candidate():
         y = Array2D([[rng.randrange(3) for _ in range(3)] for _ in range(3)], 3)
         a, full_b = (tuple(rng.randrange(3) for _ in range(4)) for _ in range(2))
         d = tuple(rng.randrange(2) for _ in range(4))
-        ctx = ScanContext(y, a, full_b)
+        ctx = ScanContext(y.cells, a, full_b, y.q)
         band = {j: _assemble(ctx, 2, j).cells[0] for j in (2, 3)}
         col_tie = band[2] == band[3]
         j = 2 if col_tie else next(j for j in (2, 3) if inversions(band[j]) % 2 == d[0])
@@ -292,7 +291,7 @@ def _resolver_cases(draw):
     d = tuple(draw(st.integers(0, 1)) for _ in range(4))
     lo, j = draw(st.integers(1, rows - 1)), draw(st.integers(1, cols - 1))
     brackets = (lo, draw(st.sampled_from([lo, lo + 1]))), (j, draw(st.sampled_from([j, j + 1])))
-    return ScanContext(y, a, full_b), a, l, d, *brackets
+    return ScanContext(y.cells, a, full_b, y.q), a, l, d, *brackets
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -373,7 +372,7 @@ def test_resolver_reads_the_first_band_that_avoids_the_row_bracket(monkeypatch):
 
 def _reference_scan(y, p, check):
     """Every hypothesis through the full membership check, no screen."""
-    ctx = ScanContext(y, p.a, p.full_b)
+    ctx = ScanContext(y.cells, p.a, p.full_b, y.q)
     survivors = {}
     for i, j, _ in _hypotheses(ctx):
         cand = _assemble(ctx, i, j)
@@ -482,7 +481,7 @@ def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monk
     minors = list(_minors(rng, x, 6))
     passing = []
     for y in minors:
-        ctx = ScanContext(y, p.a, p.full_b)
+        ctx = ScanContext(y.cells, p.a, p.full_b, y.q)
         cands = (_assemble(ctx, i, j) for i, j, _ in _hypotheses(ctx))
         passing.append(sum(syndromes(cand) == targets for cand in cands))
     assert min(passing[:6]) >= 1  # the true minors
@@ -509,7 +508,7 @@ def test_c2_scan_builds_arrays_only_for_distinct_survivors(monkeypatch):
     minors = list(_minors(rng, x, 8))
     survivors = []
     for y in minors:
-        ctx = ScanContext(y, p.a, p.full_b)
+        ctx = ScanContext(y.cells, p.a, p.full_b, y.q)
         cands = {_assemble(ctx, i, j) for i, j, _ in _hypotheses(ctx)}
         survivors.append({cand for cand in cands if c2_check(cand, p)})
     assert sum(map(len, survivors)) >= 8  # the true minors at least

@@ -4,14 +4,16 @@ Modules share helpers only through public names, import only at module level
 and only what they use, call every private function they define, and choose a
 construction through the table in params_io rather than by testing parameter
 types. The decoder helpers in scan.py exist for the constructions, so each
-public one is used by another module. One rule is checked on the imported
-modules instead: none builds a large table at import.
+public one is used by another module. Two rules are checked on the imported
+modules instead: none builds a large table at import, and every name the
+benchmark in perfbench/ imports from the package exists.
 """
 import ast
 import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crisscross"
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
 PARAMS_TYPES = {"C1Params", "C2Params", "C3Params"}
 TABLE_MODULE = "params_io.py"
 
@@ -135,3 +137,22 @@ def test_no_module_builds_a_large_container_at_import():
             and len(value) > 64
         ]
     assert not bad
+
+
+def test_every_name_the_benchmark_imports_from_the_package_exists():
+    # the suite does not run the benchmark's own tests, so a renamed function
+    # that the benchmark imports would pass here and fail every benchmark run
+    wanted = [
+        (path.name, node.module, alias.name)
+        for path in sorted(BENCHMARK.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "crisscross"
+        for alias in node.names
+    ]
+    assert {module for _, module, _ in wanted} >= {"crisscross", "crisscross.core_array"}
+    missing = [
+        f"{name}: from {module} import {imported}"
+        for name, module, imported in wanted
+        if not hasattr(importlib.import_module(module), imported)
+    ]
+    assert not missing
