@@ -13,6 +13,7 @@ from typing import Iterator
 from .core_array import (
     Array2D,
     DEFAULT_ENUMERATION_CAP,
+    derived_array,
     enumerate_arrays,
     require_shape,
 )
@@ -28,6 +29,7 @@ from .scan import (
     column_rank_screen,
     comp_ranks,
     decode_route,
+    full_row_sums,
     move_last,
     scan_verdict,
 )
@@ -68,9 +70,7 @@ class C1Params:
     @property
     def full_b(self) -> tuple[int, ...]:
         """Row sums for every row, deriving the last one in relaxed mode."""
-        if not self.relaxed:
-            return self.b
-        return self.b + ((sum(self.a) - sum(self.b)) % self.q,)
+        return full_row_sums(self.a, self.b, self.q) if self.relaxed else self.b
 
     @property
     def uniform(self) -> bool:
@@ -144,7 +144,7 @@ def _decode_fast(y: Array2D, p: C1Params) -> DecodeOutcome:
     rows = ctx.candidate_rows(n, j)
     x, row_run = vt_decode_known_symbol(rows[:-1], rows[-1], p.d, n)
     # x has p's sums by construction and p's syndromes by the two matches.
-    return DecodeOutcome(Array2D(x, p.q), row_run, (j, j), "fast")
+    return DecodeOutcome(derived_array(x, p.q), row_run, (j, j), "fast")
 
 
 def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
@@ -165,7 +165,7 @@ def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
         above, below, syndrome = by_col[j_hyp]
         new_row = ctx.forced_insertions(i_hyp, j_hyp)[0]
         if syndrome(i_hyp, new_row) == p.d:
-            cand = Array2D((*above[:i_hyp - 1], new_row, *below[i_hyp - 1:]), p.q)
+            cand = derived_array((*above[:i_hyp - 1], new_row, *below[i_hyp - 1:]), p.q)
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
     return scan_verdict(survivors, "scan")
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from operator import eq
 
-from .core_array import Array2D, require_shape
+from .core_array import Array2D, derived_array, require_shape
 from .errors import (
     InvalidParameterError,
     NotACodewordError,
@@ -24,6 +24,7 @@ from .scan import (
     column_rank_screen,
     comp_ranks,
     decode_route,
+    full_row_sums,
     move_last,
     resolve_deletion,
     scan_verdict,
@@ -69,7 +70,7 @@ class C2Params:
 
     @property
     def full_b(self) -> tuple[int, ...]:
-        return self.b + ((sum(self.a) - sum(self.b)) % self.q,)
+        return full_row_sums(self.a, self.b, self.q)
 
     @property
     def uniform(self) -> bool:
@@ -198,7 +199,7 @@ def _decode_fast(y: Array2D, p: C2Params) -> DecodeOutcome:
     col_ranks, row_ranks = move_last(col_obs, cols[0]), move_last(row_obs, rows[0])
     if not _fits(x, col_ranks, row_ranks, p.l, p.rows_distinct, p.d, band):
         raise NotACodewordError("completed array fails the class constraints")
-    return DecodeOutcome(array=Array2D(x, p.q), row_interval=rows, col_interval=cols, path="fast")
+    return DecodeOutcome(derived_array(x, p.q), rows, cols, "fast")
 
 
 def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
@@ -217,4 +218,4 @@ def _decode_scan(y: Array2D, p: C2Params) -> DecodeOutcome:
             inversions(cand) % 2 == p.d[3]
         ):
             survivors.setdefault(cand, []).append((i_hyp, j_hyp))
-    return scan_verdict({Array2D(x, p.q): hyps for x, hyps in survivors.items()}, "scan")
+    return scan_verdict({derived_array(x, p.q): hyps for x, hyps in survivors.items()}, "scan")

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .code_c2 import C2Params, c2_decode, c2_member_class
-from .core_array import Array2D, interleave_cells, require_shape, residue_cells
+from .core_array import Array2D, derived_array, interleave_cells, require_shape, residue_cells
 from .errors import (
     CodePropertyError,
     InvalidParameterError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .outcome import DecodeOutcome
 from .reprs import bands_fit, check_band_height, parity_bits
-from .scan import ScanContext, resolve_deletion
+from .scan import ScanContext, full_row_sums, resolve_deletion
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
 BitGrid = tuple[tuple[tuple[int, int, int, int], ...], ...]
@@ -58,13 +58,8 @@ class C3Params:
     def __post_init__(self) -> None:
         if self.q < 2:
             raise InvalidParameterError("alphabet size must be at least 2")
-        if self.t_r < 1 or self.t_c < 1:
-            raise InvalidParameterError("burst lengths must be positive")
-        if self.n < 1 or self.n % self.t_r or self.n % self.t_c:
-            raise InvalidParameterError(
-                f"burst lengths ({self.t_r}, {self.t_c}) must divide n={self.n}"
-            )
-        m_r, m_c = self.m_r, self.m_c
+        check_burst_lengths(self.n, self.t_r, self.t_c)
+        m_r, m_c = self.n // self.t_r, self.n // self.t_c
         check_band_height(m_r, self.l)
         if m_c < 2:
             raise InvalidParameterError("subarrays need at least two columns")
@@ -93,19 +88,15 @@ class C3Params:
         if (an.a, an.b, an.d) != (self.a[0][0], self.b[0][0], self.d[0][0]):
             raise InvalidParameterError("anchor grid slots disagree with the anchor class")
 
-    @property
-    def m_r(self) -> int:
-        return self.n // self.t_r
-
-    @property
-    def m_c(self) -> int:
-        return self.n // self.t_c
-
     def full_b(self, s_r: int, s_c: int) -> tuple[int, ...]:
-        """All m_r row sums of subarray (s_r, s_c), the last one implied."""
-        bs = self.b[s_r - 1][s_c - 1]
-        last = (sum(self.a[s_r - 1][s_c - 1]) - sum(bs)) % self.q
-        return bs + (last,)
+        """All row sums of subarray (s_r, s_c), the last one implied."""
+        return full_row_sums(self.a[s_r - 1][s_c - 1], self.b[s_r - 1][s_c - 1], self.q)
+
+
+def check_burst_lengths(n: int, t_r: int, t_c: int) -> None:
+    """Raise InvalidParameterError unless t_r and t_c are positive factors of n >= 1."""
+    if t_r < 1 or t_c < 1 or n < 1 or n % t_r or n % t_c:
+        raise InvalidParameterError(f"burst lengths {(t_r, t_c)} must be positive factors of n={n}")
 
 
 def _slot(rows, q: int, l: int) -> tuple:
@@ -135,10 +126,9 @@ def c3_syndromes(x: Array2D, t_r: int, t_c: int, l: int) -> C3Params:
     """
     if x.rows != x.cols:
         raise InvalidParameterError("the burst code is defined on square arrays")
-    if t_r < 1 or t_c < 1 or x.rows % t_r or x.cols % t_c:
-        raise InvalidParameterError(f"burst lengths ({t_r}, {t_c}) must divide n={x.rows}")
+    check_burst_lengths(x.rows, t_r, t_c)
     subs = residue_cells(x.cells, t_r, t_c)
-    anchor = c2_member_class(Array2D(subs[0][0], x.q), l, rows_distinct=True)
+    anchor = c2_member_class(derived_array(subs[0][0], x.q), l, rows_distinct=True)
     if anchor is None:
         raise NotInstantiableError(
             "anchor subarray is not band-valid with distinct consecutive rows"
@@ -152,7 +142,7 @@ def c3_check(x: Array2D, p: C3Params) -> bool:
     other subarray is weakly band-valid, and the grids are p's, as c3_syndromes."""
     require_shape(x, p.n, p.n, p.q, "the class parameters")
     subs = residue_cells(x.cells, p.t_r, p.t_c)
-    anchor = c2_member_class(Array2D(subs[0][0], p.q), p.l, rows_distinct=True)
+    anchor = c2_member_class(derived_array(subs[0][0], p.q), p.l, rows_distinct=True)
     return (
         anchor == p.anchor
         and all(bands_fit(rows, p.l) for rows in [*itertools.chain(*subs)][1:])
@@ -190,7 +180,7 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
     require_shape(y, p.n - p.t_r, p.n - p.t_c, p.q, f"a {p.t_r}x{p.t_c} burst deletion")
 
     parts = residue_cells(y.cells, p.t_r, p.t_c)
-    anchor_out = c2_decode(Array2D(parts[0][0], p.q), p.anchor)
+    anchor_out = c2_decode(derived_array(parts[0][0], p.q), p.anchor)
     if not (anchor_out.row_exact and anchor_out.col_exact):
         raise CodePropertyError(
             "anchor decode left a position open despite the distinct-rows guarantee"
@@ -219,7 +209,7 @@ def c3_decode(y: Array2D, p: C3Params, path: str = "auto") -> DecodeOutcome:
     if not all(bands_fit(rows, p.l, d, band) for rows, d, band in left_open):
         raise NotACodewordError("reassembled array fails the class constraints")
     return DecodeOutcome(
-        array=Array2D(interleave_cells(parts), p.q),
+        array=derived_array(interleave_cells(parts), p.q),
         row_interval=_window_starts(row_hits, p.t_r, p.n),
         col_interval=_window_starts(col_hits, p.t_c, p.n),
         path="residue",

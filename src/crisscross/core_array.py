@@ -33,12 +33,7 @@ class Array2D:
         clean = None
         if q <= 256 and norm and norm[0] and len(set(map(len, norm))) == 1:
             clean = _packed_cells(norm, q)
-        cells = _checked_cells(norm, q) if clean is None else clean
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "rows", len(cells))
-        object.__setattr__(self, "cols", len(cells[0]))
-        object.__setattr__(self, "_hash", None)
+        _fill(self, _checked_cells(norm, q) if clean is None else clean, q)
 
     def __setattr__(self, name, value):
         raise AttributeError("Array2D is immutable")
@@ -80,6 +75,22 @@ class Array2D:
         return tuple(sum(col) % q for col in zip(*self.cells))
 
 
+def _fill(x: Array2D, cells: tuple, q: int) -> None:
+    object.__setattr__(x, "q", q)
+    object.__setattr__(x, "cells", cells)
+    object.__setattr__(x, "rows", len(cells))
+    object.__setattr__(x, "cols", len(cells[0]))
+    object.__setattr__(x, "_hash", None)
+
+
+def derived_array(cells, q: int) -> Array2D:
+    """The Array2D of the row tuples cells over q, unchecked: only for cells derived
+    from an Array2D's cells plus symbols reduced mod q; outside input takes Array2D(...)."""
+    x = object.__new__(Array2D)
+    _fill(x, tuple(cells), q)
+    return x
+
+
 def _packed_cells(norm: tuple, q: int) -> tuple[tuple[int, ...], ...] | None:
     """The rectangular cells norm rebuilt from their bytes, or None unless
     every cell is an int in [0, q), for q <= 256. bytes() refuses anything
@@ -97,7 +108,10 @@ def _packed_cells(norm: tuple, q: int) -> tuple[tuple[int, ...], ...] | None:
 
 def _checked_cells(cells: tuple, q: int) -> tuple[tuple[int, ...], ...]:
     """Cells converted with int(), or InvalidParameterError naming the first fault."""
-    norm = tuple(tuple(int(v) for v in row) for row in cells)
+    try:
+        norm = tuple(tuple(int(v) for v in row) for row in cells)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"non-integer cell: {exc}") from exc
     if not norm or not norm[0]:
         raise InvalidParameterError("arrays must have at least one row and one column")
     width = len(norm[0])
@@ -179,11 +193,11 @@ def delete_rows_cols(x: Array2D, pattern: DeletionPattern | BurstPattern) -> Arr
         raise InvalidParameterError("deleting every row or column leaves an empty array")
     drop_r = tuple(i - 1 for i in rows)
     drop_c = tuple(j - 1 for j in cols)
-    return Array2D(next(_minors(x.cells, [drop_r], [drop_c])), x.q)
+    return derived_array(next(_minors(x.cells, [drop_r], [drop_c])), x.q)
 
 
 def transpose(x: Array2D) -> Array2D:
-    return Array2D(tuple(zip(*x.cells)), x.q)
+    return derived_array(zip(*x.cells), x.q)
 
 
 def require_shape(x: Array2D, rows: int, cols: int, q: int, what: str) -> None:
@@ -401,7 +415,7 @@ def extract_residue_subarray(x: Array2D, s_r: int, s_c: int, t_r: int, t_c: int)
         )
     if not (1 <= s_r <= t_r and 1 <= s_c <= t_c):
         raise InvalidParameterError(f"residue ({s_r}, {s_c}) outside [1,{t_r}]x[1,{t_c}]")
-    return Array2D(residue_cells(x.cells, t_r, t_c)[s_r - 1][s_c - 1], x.q)
+    return derived_array(residue_cells(x.cells, t_r, t_c)[s_r - 1][s_c - 1], x.q)
 
 
 def residue_cells(cells, t_r: int, t_c: int) -> list[list[tuple]]:
@@ -421,21 +435,22 @@ def interleave_residue_subarrays(
     _check_moduli(t_r, t_c)
     if len(parts) != t_r or any(len(row) != t_c for row in parts):
         raise InvalidParameterError(f"need a {t_r}x{t_c} grid of subarrays")
-    first = parts[0][0]
-    for row in parts:
-        for part in row:
-            if (part.rows, part.cols, part.q) != (first.rows, first.cols, first.q):
-                raise InvalidParameterError("subarrays must share shape and alphabet")
-    return Array2D(interleave_cells([[part.cells for part in row] for row in parts]), first.q)
+    if len({(part.rows, part.cols, part.q) for row in parts for part in row}) > 1:
+        raise InvalidParameterError("subarrays must share shape and alphabet")
+    return derived_array(interleave_cells([[p.cells for p in row] for row in parts]), parts[0][0].q)
 
 
 def interleave_cells(parts) -> list[tuple[int, ...]]:
     """Rows of the interleave of a grid of equal-shape subarrays' row tuples,
-    parts[s_r-1][s_c-1] holding residue class (s_r, s_c)."""
-    return [
-        tuple(itertools.chain.from_iterable(zip(*(part[i] for part in row))))
-        for i in range(len(parts[0][0])) for row in parts
-    ]
+    parts[s_r-1][s_c-1] holding residue class (s_r, s_c), filled by strided slices."""
+    t_c, out = len(parts[0]), []
+    line = [0] * (t_c * len(parts[0][0][0]))
+    for i in range(len(parts[0][0])):
+        for row in parts:
+            for u, part in enumerate(row):
+                line[u::t_c] = part[i]
+            out.append(tuple(line))
+    return out
 
 
 def enumerate_arrays(

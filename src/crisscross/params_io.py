@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .code_c1 import C1Params, c1_check, c1_decode
 from .code_c2 import C2Params, c2_check, c2_decode
-from .code_c3 import C3Params, c3_check, c3_decode
+from .code_c3 import C3Params, c3_check, c3_decode, check_burst_lengths
 from .core_array import Array2D, array_from_text, array_to_text
 from .errors import InvalidParameterError
 from .outcome import DecodeOutcome
@@ -216,8 +216,7 @@ def _parse_c3(fields: dict[str, str]) -> C3Params:
     rec.finish()
     # Checked before anything sized t_r x t_c exists; the slot checks below
     # only walk the slots the record text actually holds.
-    if t_r < 1 or t_c < 1 or n < 1 or n % t_r or n % t_c:
-        raise InvalidParameterError(f"burst lengths ({t_r}, {t_c}) must divide n={n}")
+    check_burst_lengths(n, t_r, t_c)
     anchor = _parse_c2(anchor_fields, "anchor")
 
     in_grid = all(1 <= s_r <= t_r and 1 <= s_c <= t_c for s_r, s_c in slots)

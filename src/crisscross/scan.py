@@ -133,6 +133,11 @@ class ScanContext:
         return tuple(out)
 
 
+def full_row_sums(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """Row sums b and the last one, which the column sums a imply mod q."""
+    return b + ((sum(a) - sum(b)) % q,)
+
+
 def decode_route(path: str, uniform: bool) -> str:
     """The c1 or c2 decode path to run for the requested one: "auto" runs
     "fast" exactly for uniform sums, which "fast" requires."""

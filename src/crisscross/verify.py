@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .bounds import DEFAULT_STATE_CAP, good_chains
 from .code_c1 import c1_syndromes
 from .code_c2 import c2_syndromes, default_band_height
-from .code_c3 import c3_syndromes
+from .code_c3 import c3_syndromes, check_burst_lengths
 from .core_array import (
     Array2D,
     delete_rows_cols,
@@ -573,8 +573,8 @@ class TrialConfig:
             )
         if burst and not self.burst:
             raise InvalidParameterError("the residue construction corrects bursts only")
-        if burst and (self.n % self.t_r or self.n % self.t_c):
-            raise InvalidParameterError("burst lengths must divide n")
+        if burst:
+            check_burst_lengths(self.n, self.t_r, self.t_c)
 
     @property
     def band_height(self) -> int:

@@ -23,9 +23,10 @@ from crisscross.errors import (
     NotACodewordError,
     NotInstantiableError,
 )
+from crisscross.params_io import params_from_text, params_to_text
 from crisscross.reprs import is_l_weakly_valid
 from crisscross.reprs import parity_bits
-from crisscross.verify import sample_valid, sample_weakly_valid
+from crisscross.verify import TrialConfig, sample_valid, sample_weakly_valid
 
 
 def make_codeword(rng, n, q, t_r, t_c, l, uniform=True):
@@ -52,6 +53,23 @@ def test_syndromes_shape_guards():
     x9 = make_codeword(rng, 9, 3, 3, 3, 1)
     with pytest.raises(InvalidParameterError):
         c3_syndromes(x9, 2, 3, 1)  # 2 does not divide 9
+
+
+@pytest.mark.parametrize("n, t_r, t_c", [(8, 3, 2), (9, 3, 2), (8, 2, 5), (8, 0, 2), (8, 2, -1)])
+def test_every_entry_checks_the_burst_lengths_by_one_rule(n, t_r, t_c):
+    want = f"burst lengths \\({t_r}, {t_c}\\) must be positive factors of n={n}$"
+    text = params_to_text(c3_syndromes(make_codeword(random.Random(3), 8, 3, 2, 2, 1), 2, 2, 1))
+    text = text.replace("\nn=8\n", f"\nn={n}\n").replace("\ntr=2\n", f"\ntr={t_r}\n")
+    entries = [
+        lambda: C3Params(n, 3, t_r, t_c, 1, None, (), (), ()),
+        lambda: c3_syndromes(Array2D([[0] * n] * n, 3), t_r, t_c, 1),
+        lambda: params_from_text(text.replace("\ntc=2\n", f"\ntc={t_c}\n")),
+    ]
+    if min(t_r, t_c) >= 1:  # TrialConfig refuses nonpositive widths with its other options
+        entries.append(lambda: TrialConfig("c3", n=n, q=3, t_r=t_r, t_c=t_c, burst=True))
+    for entry in entries:
+        with pytest.raises(InvalidParameterError, match=want):
+            entry()
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -94,23 +112,21 @@ def test_decode_builds_one_scan_context_per_subarray(monkeypatch):
         assert len(built) == 4
 
 
-def test_decode_builds_arrays_only_where_it_hands_them_on(monkeypatch):
+def test_decode_builds_arrays_only_where_it_hands_them_on(array_builds):
     # 2x2 residue classes: the anchor's minor for c2_decode, the anchor
     # array c2_decode returns, and the result; the other subarrays stay row
-    # tuples from the cut to the interleave
+    # tuples from the cut to the interleave. All three are derived from the
+    # validated minor, so none is validated again.
     rng = random.Random(12)
     x = make_codeword(rng, 12, 3, 2, 2, 1)
     p = c3_syndromes(x, 2, 2, 1)
-    built = []
-    init = Array2D.__init__
-    monkeypatch.setattr(
-        Array2D, "__init__", lambda self, *args: built.append(init(self, *args))
-    )
+    built, validated = array_builds
     for r0, c0 in ((1, 1), (6, 3), (11, 11)):
         y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
         built.clear()
+        validated.clear()
         assert c3_decode(y, p).array == x
-        assert len(built) == 3
+        assert len(built) == 3 and not validated
 
 
 def test_syndromes_reject_unusable_anchor():

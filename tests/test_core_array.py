@@ -26,8 +26,10 @@ from crisscross.core_array import (
     interleave_residue_subarrays,
     residue_cells,
     transpose,
+    unpack_minor,
 )
 from crisscross.errors import CapacityError, InvalidParameterError
+from crisscross.params_io import codebook_from_text
 
 X33 = Array2D([[0, 1, 2], [2, 0, 1], [1, 1, 0]], 3)
 
@@ -111,6 +113,24 @@ def _outcome(build, cells, q):
 def test_array_normalises_and_rejects_like_per_cell_checks(cells, q, expected):
     assert _outcome(_reference_cells, cells, q) == expected
     assert _outcome(_array_cells, cells, q) == expected
+
+
+@pytest.mark.parametrize("bad", [3, 7, "x", None])
+def test_every_outside_input_of_cells_is_validated(bad):
+    # the decoders build their results without validation, from cells that
+    # come from a validated array; cells from outside are checked on entry
+    cells = ((0, 1), (2, bad))
+    text = f"2 2 3\n0 1\n2 {bad}\n"
+    keys = [cells] + ([bytes([0, 1, 2, bad])] if isinstance(bad, int) else [])
+    with pytest.raises(InvalidParameterError):
+        Array2D(cells, 3)
+    with pytest.raises(InvalidParameterError):
+        array_from_text(text)
+    with pytest.raises(InvalidParameterError):
+        codebook_from_text(f"2 3 1\n\n{text}")
+    for key in keys:
+        with pytest.raises(InvalidParameterError):
+            unpack_minor(key, 2, 3)
 
 
 def test_array_accepts_one_pass_iterables():

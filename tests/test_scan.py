@@ -459,7 +459,9 @@ def _count_calls(monkeypatch, names):
 
 
 @pytest.mark.parametrize("family", ["c1", "c2"])
-def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monkeypatch, family):
+def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(
+    monkeypatch, array_builds, family
+):
     # one column screen per decode; the row syndrome comes off the same
     # context, and the final test takes the screens' ranks, not c*_check
     if family == "c1":
@@ -486,22 +488,23 @@ def test_scan_decode_builds_one_context_and_arrays_only_past_both_syndromes(monk
         passing.append(sum(syndromes(cand) == targets for cand in cands))
     assert min(passing[:6]) >= 1  # the true minors
     calls = _count_calls(monkeypatch, {"c1_check", "c2_check", "comp_ranks", "transpose"})
-    built = Counter()
-    for cls in (scan.ScanContext, Array2D):
-        init = cls.__init__
-        monkeypatch.setattr(
-            cls, "__init__",
-            lambda self, *args, _init=init, _cls=cls: built.update([_cls]) or _init(self, *args),
-        )
+    contexts = []
+    init = scan.ScanContext.__init__
+    monkeypatch.setattr(
+        scan.ScanContext, "__init__", lambda self, *args: contexts.append(init(self, *args))
+    )
+    derived, validated = array_builds
     for y, most in zip(minors, passing):
-        built.clear()
+        contexts.clear()
+        derived.clear()
+        validated.clear()
         _outcome(decode, y, p, "scan")
-        assert built[scan.ScanContext] == 1
-        assert built[Array2D] <= most
+        assert len(contexts) == 1
+        assert len(derived) <= most and not validated
     assert not calls
 
 
-def test_c2_scan_builds_arrays_only_for_distinct_survivors(monkeypatch):
+def test_c2_scan_builds_arrays_only_for_distinct_survivors(array_builds):
     # band validity and parities are tested on the candidates' row tuples,
     # so the decode builds one array per distinct member it found and no other
     rng, x, p = _non_uniform(lambda r: sample_valid(12, 9, 2, 3, r), lambda x: c2_syndromes(x, 3), 31)
@@ -512,12 +515,9 @@ def test_c2_scan_builds_arrays_only_for_distinct_survivors(monkeypatch):
         cands = {_assemble(ctx, i, j) for i, j, _ in _hypotheses(ctx)}
         survivors.append({cand for cand in cands if c2_check(cand, p)})
     assert sum(map(len, survivors)) >= 8  # the true minors at least
-    built = []
-    init = Array2D.__init__
-    monkeypatch.setattr(
-        Array2D, "__init__", lambda self, *args: built.append(init(self, *args) or self)
-    )
+    built, validated = array_builds
     for y, want in zip(minors, survivors):
         built.clear()
+        validated.clear()
         _outcome(c2_decode, y, p, "scan")
-        assert set(built) == want and len(built) == len(want)
+        assert set(built) == want and len(built) == len(want) and not validated

@@ -16,6 +16,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crisscross"
 BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
 PARAMS_TYPES = {"C1Params", "C2Params", "C3Params"}
 TABLE_MODULE = "params_io.py"
+DERIVED_ARRAY_USERS = {"core_array.py", "scan.py", "code_c1.py", "code_c2.py", "code_c3.py"}
 
 
 def _trees():
@@ -121,6 +122,23 @@ def test_every_public_scan_function_is_used_by_another_module():
         and node.name not in used_elsewhere
     ]
     assert not bad
+
+
+def test_only_core_array_and_the_decoders_build_arrays_without_validation():
+    # core_array.derived_array skips Array2D's checks, which holds only for
+    # cells derived from a validated array; no other module may reach it,
+    # and the package root does not export it
+    bad = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name not in DERIVED_ARRAY_USERS
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "derived_array"
+        or isinstance(node, ast.Attribute) and node.attr == "derived_array"
+        or isinstance(node, ast.alias) and node.name == "derived_array"
+    ]
+    assert not bad
+    assert not hasattr(importlib.import_module("crisscross"), "derived_array")
 
 
 def test_no_module_builds_a_large_container_at_import():
