@@ -26,6 +26,7 @@ from .onedim import inserted_syndrome, signature_syndrome, vt_decode_known_symbo
 from .outcome import DecodeOutcome
 from .scan import (
     ScanContext,
+    check_class_sums,
     column_rank_screen,
     comp_ranks,
     decode_route,
@@ -50,16 +51,7 @@ class C1Params:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidParameterError("need n >= 2 to delete a row and a column")
-        if self.q < 2:
-            raise InvalidParameterError("alphabet size must be at least 2")
-        if len(self.a) != self.n:
-            raise InvalidParameterError(f"need {self.n} column sums, got {len(self.a)}")
-        want_b = self.n - 1 if self.relaxed else self.n
-        if len(self.b) != want_b:
-            raise InvalidParameterError(f"need {want_b} row sums, got {len(self.b)}")
-        for v in self.a + self.b:
-            if not 0 <= v < self.q:
-                raise InvalidParameterError(f"sum residue {v} outside [0, {self.q})")
+        check_class_sums(self.q, self.a, self.n, self.b, self.n - 1 if self.relaxed else self.n)
         if not 0 <= self.c < self.n or not 0 <= self.d < self.n:
             raise InvalidParameterError("signature syndromes must lie in [0, n)")
         if not self.relaxed and (sum(self.a) - sum(self.b)) % self.q:

@@ -18,9 +18,10 @@ from .errors import (
 )
 from .onedim import inversions, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
-from .reprs import bands_fit, check_band_height, no_triple_runs, parity_bits
+from .reprs import bands_fit, check_band_height, check_parity_bits, no_triple_runs, parity_bits
 from .scan import (
     ScanContext,
+    check_class_sums,
     column_rank_screen,
     comp_ranks,
     decode_route,
@@ -54,19 +55,10 @@ class C2Params:
         check_band_height(self.rows, self.l)
         if self.cols < 2:
             raise InvalidParameterError("need at least two columns to delete one")
-        if self.q < 2:
-            raise InvalidParameterError("alphabet size must be at least 2")
-        if len(self.a) != self.cols:
-            raise InvalidParameterError(f"need {self.cols} column sums, got {len(self.a)}")
-        if len(self.b) != self.rows - 1:
-            raise InvalidParameterError(f"need {self.rows - 1} row sums, got {len(self.b)}")
-        for v in self.a + self.b:
-            if not 0 <= v < self.q:
-                raise InvalidParameterError(f"sum residue {v} outside [0, {self.q})")
+        check_class_sums(self.q, self.a, self.cols, self.b, self.rows - 1)
         if len(self.c) != 2 or not (0 <= self.c[0] < self.cols and 0 <= self.c[1] < self.rows):
             raise InvalidParameterError("composition syndromes must lie in [0, cols) x [0, rows)")
-        if len(self.d) != 4 or any(bit not in (0, 1) for bit in self.d):
-            raise InvalidParameterError("inversion parities must be four bits")
+        check_parity_bits(self.d)
 
     @property
     def full_b(self) -> tuple[int, ...]:

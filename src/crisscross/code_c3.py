@@ -27,8 +27,8 @@ from .errors import (
     NotInstantiableError,
 )
 from .outcome import DecodeOutcome
-from .reprs import bands_fit, check_band_height, parity_bits
-from .scan import ScanContext, full_row_sums, resolve_deletion
+from .reprs import bands_fit, check_band_height, check_parity_bits, parity_bits
+from .scan import ScanContext, check_class_sums, full_row_sums, resolve_deletion
 
 SumGrid = tuple[tuple[tuple[int, ...], ...], ...]
 BitGrid = tuple[tuple[tuple[int, int, int, int], ...], ...]
@@ -56,30 +56,17 @@ class C3Params:
     d: BitGrid
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise InvalidParameterError("alphabet size must be at least 2")
         check_burst_lengths(self.n, self.t_r, self.t_c)
         m_r, m_c = self.n // self.t_r, self.n // self.t_c
         check_band_height(m_r, self.l)
         if m_c < 2:
             raise InvalidParameterError("subarrays need at least two columns")
-        for name, grid, width in (("a", self.a, m_c), ("b", self.b, m_r - 1)):
+        for name, grid in (("a", self.a), ("b", self.b), ("d", self.d)):
             if len(grid) != self.t_r or any(len(row) != self.t_c for row in grid):
                 raise InvalidParameterError(f"{name} must be a {self.t_r}x{self.t_c} grid")
-            for row in grid:
-                for entry in row:
-                    if len(entry) != width:
-                        raise InvalidParameterError(
-                            f"each {name} entry must have length {width}"
-                        )
-                    if any(not 0 <= v < self.q for v in entry):
-                        raise InvalidParameterError(f"{name} entries must lie in [0, q)")
-        if len(self.d) != self.t_r or any(len(row) != self.t_c for row in self.d):
-            raise InvalidParameterError(f"d must be a {self.t_r}x{self.t_c} grid")
-        for row in self.d:
-            for bits in row:
-                if len(bits) != 4 or any(bit not in (0, 1) for bit in bits):
-                    raise InvalidParameterError("each d entry must be four bits")
+        for s, u in itertools.product(range(self.t_r), range(self.t_c)):
+            check_class_sums(self.q, self.a[s][u], m_c, self.b[s][u], m_r - 1)
+            check_parity_bits(self.d[s][u])
         an = self.anchor
         if (an.rows, an.cols, an.q, an.l) != (m_r, m_c, self.q, self.l):
             raise InvalidParameterError("anchor parameters do not match the subarray shape")

@@ -96,7 +96,7 @@ def _packed_cells(norm: tuple, q: int) -> tuple[tuple[int, ...], ...] | None:
     every cell is an int in [0, q), for q <= 256. bytes() refuses anything
     but ints in [0, 256), and deleting the q symbols must leave nothing. The
     rows are cut back out of the bytes, so each cell is an exact int, as
-    int() would give."""
+    operator.index() would give."""
     try:
         packed = b"".join(map(bytes, norm))
     except (TypeError, ValueError):
@@ -107,10 +107,12 @@ def _packed_cells(norm: tuple, q: int) -> tuple[tuple[int, ...], ...] | None:
 
 
 def _checked_cells(cells: tuple, q: int) -> tuple[tuple[int, ...], ...]:
-    """Cells converted with int(), or InvalidParameterError naming the first fault."""
+    """Cells converted with operator.index(), which takes ints and bools and
+    refuses what int() would truncate or parse, or InvalidParameterError
+    naming the first fault."""
     try:
-        norm = tuple(tuple(int(v) for v in row) for row in cells)
-    except (TypeError, ValueError) as exc:
+        norm = tuple(tuple(map(operator.index, row)) for row in cells)
+    except TypeError as exc:
         raise InvalidParameterError(f"non-integer cell: {exc}") from exc
     if not norm or not norm[0]:
         raise InvalidParameterError("arrays must have at least one row and one column")

@@ -6,8 +6,9 @@ serve the family; callers dispatch through it instead of testing types.
 
 Parameter records are flat ``key=value`` lines with comma lists for vectors;
 a ``construction=`` line selects the layout. The burst-code record embeds its
-anchor as an ``anchor.``-prefixed sub-record and one ``(s_r,s_c).``-keyed
-record per residue subarray. Codebook files start with a ``n q count`` header
+anchor as an ``anchor.``-prefixed c2 record and ``(s_r,s_c).a``, ``.b`` and
+``.d`` keys per residue subarray. Each record is read as one, which names any
+missing or unknown key. Codebook files start with a ``n q count`` header
 followed by the arrays in the shared text format, blank-line separated.
 """
 
@@ -25,9 +26,6 @@ from .errors import InvalidParameterError
 from .outcome import DecodeOutcome
 
 AnyParams = C1Params | C2Params | C3Params
-
-_RESIDUE_KEY = re.compile(r"^\((\d+),(\d+)\)\.([abd])$")
-
 
 def _fmt_bool(v: bool) -> str:
     return "true" if v else "false"
@@ -90,43 +88,49 @@ def _c3_lines(p: C3Params) -> list[str]:
 
 
 class _Record:
-    """A key=value record that tracks consumption so leftovers are rejected."""
+    """A key=value record that tracks consumption so leftovers are rejected.
+    Keys are read under prefix; nested(prefix) views a sub-record whose keys
+    count as used here."""
 
-    def __init__(self, fields: dict[str, str], what: str):
+    def __init__(self, fields: dict[str, str], what: str, prefix: str = ""):
         self.fields = fields
         self.what = what
+        self.prefix = prefix
         self.used: set[str] = set()
 
+    def nested(self, prefix: str) -> _Record:
+        sub = _Record(self.fields, self.what, self.prefix + prefix)
+        sub.used = self.used
+        return sub
+
     def take(self, key: str) -> str:
+        key = self.prefix + key
         if key not in self.fields:
             raise InvalidParameterError(f"{self.what} record is missing {key!r}")
         self.used.add(key)
         return self.fields[key]
 
     def has(self, key: str) -> bool:
-        return key in self.fields
+        return self.prefix + key in self.fields
+
+    def _take_as(self, key: str, convert: Callable[[str], object], kind: str):
+        raw = self.take(key)
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"{self.what}: {self.prefix}{key}={raw!r} is not {kind}"
+            ) from exc
 
     def take_int(self, key: str) -> int:
-        raw = self.take(key)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{self.what}: {key}={raw!r} is not an integer") from exc
+        return self._take_as(key, int, "an integer")
 
     def take_vec(self, key: str) -> tuple[int, ...]:
-        raw = self.take(key)
-        if not raw:
-            return ()
-        try:
-            return tuple(int(v) for v in raw.split(","))
-        except ValueError as exc:
-            raise InvalidParameterError(f"{self.what}: {key}={raw!r} is not a comma list") from exc
+        return self._take_as(key, lambda raw: tuple(map(int, raw.split(","))) if raw else (),
+                             "a comma list")
 
     def take_bool(self, key: str) -> bool:
-        raw = self.take(key)
-        if raw not in ("true", "false"):
-            raise InvalidParameterError(f"{self.what}: {key}={raw!r} is not true/false")
-        return raw == "true"
+        return self._take_as(key, lambda raw: bool(("false", "true").index(raw)), "true/false")
 
     def finish(self) -> None:
         leftover = sorted(set(self.fields) - self.used)
@@ -150,10 +154,8 @@ def _split_lines(text: str) -> dict[str, str]:
     return fields
 
 
-def _parse_c1(fields: dict[str, str]) -> C1Params:
-    rec = _Record(fields, "c1")
-    rec.take("construction")
-    p = C1Params(
+def _parse_c1(rec: _Record) -> C1Params:
+    return C1Params(
         n=rec.take_int("n"),
         q=rec.take_int("q"),
         a=rec.take_vec("a"),
@@ -162,20 +164,15 @@ def _parse_c1(fields: dict[str, str]) -> C1Params:
         d=rec.take_int("d"),
         relaxed=rec.take_bool("relaxed"),
     )
-    rec.finish()
-    return p
 
 
-def _parse_c2(fields: dict[str, str], what: str = "c2") -> C2Params:
-    rec = _Record(fields, what)
-    if rec.take("construction") != "c2":
-        raise InvalidParameterError(f"{what} record must use construction=c2")
+def _parse_c2(rec: _Record) -> C2Params:
     if rec.has("n"):
         rows = cols = rec.take_int("n")
     else:
         rows = rec.take_int("rows")
         cols = rec.take_int("cols")
-    p = C2Params(
+    return C2Params(
         rows=rows,
         cols=cols,
         q=rec.take_int("q"),
@@ -186,64 +183,25 @@ def _parse_c2(fields: dict[str, str], what: str = "c2") -> C2Params:
         d=tuple(rec.take_int(f"d{k}") for k in (1, 2, 3, 4)),
         rows_distinct=rec.take_bool("rows_distinct"),
     )
-    rec.finish()
-    return p
 
 
-def _parse_c3(fields: dict[str, str]) -> C3Params:
-    top: dict[str, str] = {}
-    anchor_fields: dict[str, str] = {}
-    slots: dict[tuple[int, int], dict[str, str]] = {}
-    for key, value in fields.items():
-        if key.startswith("anchor."):
-            anchor_fields[key[len("anchor."):]] = value
-            continue
-        m = _RESIDUE_KEY.match(key)
-        if m:
-            pos = (int(m.group(1)), int(m.group(2)))
-            slots.setdefault(pos, {})[m.group(3)] = value
-            continue
-        top[key] = value
-
-    rec = _Record(top, "burst-code")
-    if rec.take("construction") != "c3":
-        raise InvalidParameterError("not a burst-code record")
-    n = rec.take_int("n")
-    q = rec.take_int("q")
-    t_r = rec.take_int("tr")
-    t_c = rec.take_int("tc")
-    l = rec.take_int("l")
-    rec.finish()
-    # Checked before anything sized t_r x t_c exists; the slot checks below
-    # only walk the slots the record text actually holds.
+def _parse_c3(rec: _Record) -> C3Params:
+    n, q, t_r, t_c, l = (rec.take_int(key) for key in ("n", "q", "tr", "tc", "l"))
+    # Checked before any slot key is read; the grid reads below stop at the
+    # first slot key the record text lacks.
     check_burst_lengths(n, t_r, t_c)
-    anchor = _parse_c2(anchor_fields, "anchor")
+    anchor = rec.nested("anchor.")
+    if anchor.take("construction") != "c2":
+        raise InvalidParameterError("anchor record must use construction=c2")
 
-    in_grid = all(1 <= s_r <= t_r and 1 <= s_c <= t_c for s_r, s_c in slots)
-    if not in_grid or len(slots) != t_r * t_c:
-        raise InvalidParameterError(
-            f"residue records cover {sorted(slots)}, want (1,1) to ({t_r},{t_c})"
+    def grid(name: str) -> tuple:
+        return tuple(
+            tuple(rec.take_vec(f"({s_r},{s_c}).{name}") for s_c in range(1, t_c + 1))
+            for s_r in range(1, t_r + 1)
         )
-    grids: dict[str, list[list[tuple[int, ...]]]] = {k: [] for k in "abd"}
-    for s_r in range(1, t_r + 1):
-        for name in "abd":
-            grids[name].append([])
-        for s_c in range(1, t_c + 1):
-            slot = _Record(slots[(s_r, s_c)], f"residue ({s_r},{s_c})")
-            for name in "abd":
-                grids[name][-1].append(slot.take_vec(name))
-            slot.finish()
-    return C3Params(
-        n=n,
-        q=q,
-        t_r=t_r,
-        t_c=t_c,
-        l=l,
-        anchor=anchor,
-        a=tuple(tuple(row) for row in grids["a"]),
-        b=tuple(tuple(row) for row in grids["b"]),
-        d=tuple(tuple(row) for row in grids["d"]),
-    )
+
+    return C3Params(n=n, q=q, t_r=t_r, t_c=t_c, l=l, anchor=_parse_c2(anchor),
+                    a=grid("a"), b=grid("b"), d=grid("d"))
 
 
 @dataclass(frozen=True)
@@ -261,7 +219,7 @@ class Construction:
     paths: tuple[str, ...]
     burst: bool
     to_lines: Callable[[AnyParams], list[str]]
-    parse: Callable[[dict[str, str]], AnyParams]
+    parse: Callable[[_Record], AnyParams]
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
@@ -295,7 +253,11 @@ def params_from_text(text: str) -> AnyParams:
     kind = fields.get("construction")
     if kind not in CONSTRUCTIONS:
         raise InvalidParameterError(f"unknown construction {kind!r}")
-    return CONSTRUCTIONS[kind].parse(fields)
+    rec = _Record(fields, kind)
+    rec.take("construction")
+    p = CONSTRUCTIONS[kind].parse(rec)
+    rec.finish()
+    return p
 
 
 def codebook_to_text(arrays: Sequence[Array2D], n: int | None = None, q: int | None = None) -> str:

@@ -92,6 +92,12 @@ def parity_bits(rows, l: int) -> tuple[int, int, int, int]:
     return (*(inversions(band_cols(rows, l, k)) % 2 for k in (1, 2, 3)), inversions(rows) % 2)
 
 
+def check_parity_bits(d) -> None:
+    """Raise InvalidParameterError unless d is four inversion parity bits."""
+    if len(d) != 4 or any(bit not in (0, 1) for bit in d):
+        raise InvalidParameterError("inversion parities must be four bits")
+
+
 def is_l_valid(x: Array2D, l: int) -> bool:
     """Band validity plus no triple repeats among column or row compositions.
 

@@ -96,11 +96,9 @@ class ScanContext:
         self.right = [(t - s) % q for t, s in zip(a[1:], col_sums)]
         self.up = [(t - s) % q for t, s in zip(full_b, row_sums)]
         self.down = [(t - s) % q for t, s in zip(full_b[1:], row_sums)]
-
-    @cached_property
-    def row_rest(self) -> list[int]:
-        """The inserted row's sum without the corner, by the deleted column."""
-        return [*accumulate(map(sub, self.left, self.right), initial=sum(self.right))]
+        # The inserted row's sum without the corner, by the deleted column;
+        # every decode reads it, through corner() or the column-rank screen.
+        self.row_rest = [*accumulate(map(sub, self.left, self.right), initial=sum(self.right))]
 
     def corner(self, i_hyp: int, j_hyp: int) -> int:
         """The corner symbol forced under hypothesis (i_hyp, j_hyp), in O(1)."""
@@ -118,10 +116,10 @@ class ScanContext:
 
     def forced_insertions(self, i_hyp: int, j_hyp: int):
         """Row and column contents forced by the sums under hypothesis (i_hyp, j_hyp)."""
-        left, right = self.left[: j_hyp - 1], self.right[j_hyp - 1:]
-        corner = (self.full_b[i_hyp - 1] - sum(left) - sum(right)) % self.q
+        corner = self.corner(i_hyp, j_hyp)
+        new_row = self.left[: j_hyp - 1] + [corner] + self.right[j_hyp - 1:]
         new_col = self.up[: i_hyp - 1] + [corner] + self.down[i_hyp - 1:]
-        return tuple(left + [corner] + right), tuple(new_col)
+        return tuple(new_row), tuple(new_col)
 
     def candidate_rows(self, i_hyp: int, j_hyp: int):
         """Row tuples of the candidate array for hypothesis (i_hyp, j_hyp): the
@@ -136,6 +134,20 @@ class ScanContext:
 def full_row_sums(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
     """Row sums b and the last one, which the column sums a imply mod q."""
     return b + ((sum(a) - sum(b)) % q,)
+
+
+def check_class_sums(q: int, a, cols: int, b, rows: int) -> None:
+    """Raise InvalidParameterError unless q >= 2 and a (b) holds cols column
+    (rows row) sums, each a residue mod q."""
+    if q < 2:
+        raise InvalidParameterError("alphabet size must be at least 2")
+    if len(a) != cols:
+        raise InvalidParameterError(f"need {cols} column sums, got {len(a)}")
+    if len(b) != rows:
+        raise InvalidParameterError(f"need {rows} row sums, got {len(b)}")
+    for v in (*a, *b):
+        if not 0 <= v < q:
+            raise InvalidParameterError(f"sum residue {v} outside [0, {q})")
 
 
 def decode_route(path: str, uniform: bool) -> str:

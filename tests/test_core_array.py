@@ -1,6 +1,7 @@
 """Array container, deletion patterns, balls, residue interleaving, text IO."""
 
 import itertools
+import operator
 import tracemalloc
 
 import pytest
@@ -68,8 +69,11 @@ def test_array_construction_and_accessors():
 
 
 def _reference_cells(cells, q):
-    """The per-cell int() normalisation and checks, as a reference for Array2D."""
-    norm = tuple(tuple(int(v) for v in row) for row in cells)
+    """The per-cell operator.index() normalisation and checks, as a reference for Array2D."""
+    try:
+        norm = tuple(tuple(operator.index(v) for v in row) for row in cells)
+    except TypeError as exc:
+        raise InvalidParameterError(f"non-integer cell: {exc}") from exc
     if not norm or not norm[0]:
         raise InvalidParameterError("arrays must have at least one row and one column")
     for row in norm:
@@ -94,11 +98,16 @@ def _outcome(build, cells, q):
         return ("error", str(exc))
 
 
+NOT_INDEX = "'%s' object cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize(
     "cells, q, expected",
     [
         ([[True, False], [False, True]], 2, ((1, 0), (0, 1))),
-        ([[1.0, 0.0]], 2, ((1, 0),)),
+        ([[1.0, 0.0]], 2, ("error", f"non-integer cell: {NOT_INDEX % 'float'}")),
+        ([[0, 1.5]], 2, ("error", f"non-integer cell: {NOT_INDEX % 'float'}")),
+        ([[0, "1"]], 2, ("error", f"non-integer cell: {NOT_INDEX % 'str'}")),
         ([[0, -1]], 2, ("error", "cell value -1 outside [0, 2)")),
         ([[0, 1], [2, 0]], 2, ("error", "cell value 2 outside [0, 2)")),
         ([[True, 2]], 2, ("error", "cell value 2 outside [0, 2)")),

@@ -1,14 +1,18 @@
 """Text round trips for class parameters and codebook files."""
 
+import dataclasses
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisscross.code_c1 import c1_syndromes
 from crisscross.code_c2 import C2Params, c2_syndromes
 from crisscross.code_c3 import c3_syndromes
-from crisscross.core_array import Array2D, interleave_residue_subarrays
+from crisscross.core_array import Array2D, array_from_text, interleave_residue_subarrays
 from crisscross.errors import InvalidParameterError
 from crisscross.params_io import (
     CONSTRUCTIONS,
@@ -122,8 +126,25 @@ def test_c3_missing_residue_record_is_rejected():
     pruned = "\n".join(
         ln for ln in text.splitlines() if not ln.startswith("(2,2).")
     )
-    with pytest.raises(InvalidParameterError, match="residue records cover"):
+    with pytest.raises(InvalidParameterError, match=r"c3 record is missing '\(2,2\)\.a'$"):
         params_from_text(pruned)
+
+
+@pytest.mark.parametrize("extra", ["(3,1).a=0,0,0,0", "anchor.zz=1", "(1,1).e=0", "(01,1).a=2,1,0,1"])
+def test_c3_out_of_grid_slot_and_unknown_anchor_key_are_rejected(extra):
+    text = params_to_text(_c3_fixture()) + extra + "\n"
+    key = extra.partition("=")[0]
+    with pytest.raises(InvalidParameterError, match=f"unknown keys \\[{re.escape(repr(key))}\\]"):
+        params_from_text(text)
+
+
+def test_c3_missing_anchor_key_is_named_with_its_prefix():
+    text = params_to_text(_c3_fixture())
+    pruned = "\n".join(ln for ln in text.splitlines() if not ln.startswith("anchor.l="))
+    with pytest.raises(InvalidParameterError, match="c3 record is missing 'anchor.l'$"):
+        params_from_text(pruned)
+    with pytest.raises(InvalidParameterError, match="c3: anchor.q='x' is not an integer$"):
+        params_from_text(text.replace("anchor.q=3", "anchor.q=x"))
 
 
 def test_c3_burst_lengths_are_checked_before_the_slot_grid():
@@ -202,3 +223,152 @@ def test_codebook_homogeneity_enforced():
     tampered = text.replace("2 2 1", "3 2 1")
     with pytest.raises(InvalidParameterError, match="header says"):
         codebook_from_text(tampered)
+
+
+def _c2_fixtures():
+    square = c2_syndromes(sample_valid(6, 6, 2, 2, random.Random(2)), 2, False)
+    rectangular = c2_syndromes(sample_valid(4, 7, 2, 1, random.Random(3)), 1, True)
+    return square, rectangular
+
+
+def _edit_line(text, key, value):
+    lines = text.splitlines()
+    (k,) = [k for k, ln in enumerate(lines) if ln.partition("=")[0] == key]
+    lines[k] = f"{key}={value}"
+    return "\n".join(lines) + "\n"
+
+
+def _edit_slot(grid, value):
+    """grid with slot (1,2) replaced by value."""
+    return ((grid[0][0], value, *grid[0][2:]), *grid[1:])
+
+
+def _fvec(vs):
+    return ",".join(map(str, vs))
+
+
+def _class_field_faults():
+    """(build the faulted params, its text, message), with an id, for every
+    class type: q = 1, a sum vector one short, a residue equal to
+    q and (c2, c3) a parity bit of 2; c3's faults sit in slot (1,2)."""
+    c1 = _c1_fixture(relaxed=True)
+    c2 = _c2_fixtures()[0]
+    c3 = _c3_fixture()
+    cases = []
+    for p in (c1, c2):
+        text = params_to_text(p)
+        faults = {
+            "q": (dict(q=1), ("q", 1), "alphabet size must be at least 2"),
+            "a": (dict(a=p.a[:-1]), ("a", _fvec(p.a[:-1])),
+                  f"need {len(p.a)} column sums, got {len(p.a) - 1}"),
+            "b": (dict(b=p.b[:-1]), ("b", _fvec(p.b[:-1])),
+                  f"need {len(p.b)} row sums, got {len(p.b) - 1}"),
+            "residue": (dict(a=(p.q, *p.a[1:])), ("a", _fvec((p.q, *p.a[1:]))),
+                        f"sum residue {p.q} outside [0, {p.q})"),
+        }
+        if p is c2:
+            faults["parity"] = (dict(d=(2, *p.d[1:])), ("d1", 2),
+                                "inversion parities must be four bits")
+        for fault, (fields, (key, value), message) in faults.items():
+            cases.append(pytest.param(
+                lambda p=p, f=fields: dataclasses.replace(p, **f), _edit_line(text, key, value),
+                message, id=f"{type(p).__name__}-{fault}",
+            ))
+    text = params_to_text(c3)
+    a, b, d = c3.a[0][1], c3.b[0][1], c3.d[0][1]
+    faults = {
+        "q": (dict(q=1), ("q", 1), "alphabet size must be at least 2"),
+        "a": (dict(a=_edit_slot(c3.a, a[:-1])), ("(1,2).a", _fvec(a[:-1])),
+              f"need {len(a)} column sums, got {len(a) - 1}"),
+        "b": (dict(b=_edit_slot(c3.b, b[:-1])), ("(1,2).b", _fvec(b[:-1])),
+              f"need {len(b)} row sums, got {len(b) - 1}"),
+        "residue": (dict(a=_edit_slot(c3.a, (c3.q, *a[1:]))), ("(1,2).a", _fvec((c3.q, *a[1:]))),
+                    f"sum residue {c3.q} outside [0, {c3.q})"),
+        "parity": (dict(d=_edit_slot(c3.d, (2, *d[1:]))), ("(1,2).d", _fvec((2, *d[1:]))),
+                   "inversion parities must be four bits"),
+    }
+    for fault, (fields, (key, value), message) in faults.items():
+        cases.append(pytest.param(
+            lambda f=fields: dataclasses.replace(c3, **f), _edit_line(text, key, value),
+            message, id=f"C3Params-{fault}",
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("build, text, message", _class_field_faults())
+def test_every_class_checks_its_sums_and_parities_by_one_rule(build, text, message):
+    for entry in (build, lambda: params_from_text(text)):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            entry()
+        assert str(excinfo.value) == message
+
+
+def _records():
+    return [_c1_fixture(relaxed=False), _c1_fixture(relaxed=True), *_c2_fixtures(), _c3_fixture()]
+
+
+_RECORD_TEXTS = [params_to_text(p) for p in _records()]
+_KEYS = sorted(
+    {ln.partition("=")[0] for text in _RECORD_TEXTS for ln in text.splitlines()}
+    | {"zz", "(3,1).a", "(1,1).e", "(01,1).a", "anchor.zz", "anchor.anchor.n"}
+)
+_VALUES = st.one_of(
+    st.integers(-2, 10).map(str),
+    st.lists(st.integers(-1, 4), max_size=9).map(_fvec),
+    st.sampled_from(["", "true", "false", "c1", "c2", "c3", "x", "1.5", " 1 "]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _mutated_records(draw):
+    """A valid c1, c2 or c3 record with one to three lines dropped, doubled,
+    swapped, inserted, or given another key or value."""
+    lines = draw(st.sampled_from(_RECORD_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        key, _, value = lines[k].partition("=")
+        op = draw(st.sampled_from(["drop", "double", "swap", "insert", "key", "value"]))
+        if op == "drop":
+            del lines[k]
+        elif op == "double":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == "insert":
+            lines.insert(k, draw(st.one_of(st.text(max_size=12), st.builds(
+                "{}={}".format, st.sampled_from(_KEYS), _VALUES))))
+        elif op == "key":
+            lines[k] = f"{draw(st.sampled_from(_KEYS))}={value}"
+        else:
+            lines[k] = f"{key}={draw(_VALUES)}"
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_records())
+def test_mutated_records_are_refused_or_round_trip_byte_stably(text):
+    try:
+        p = params_from_text(text)
+    except InvalidParameterError:
+        return
+    again = params_to_text(p)
+    assert params_from_text(again) == p
+    assert params_to_text(params_from_text(again)) == again
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789 ,=.()#-\nabcdlnqrtx_"),
+    _mutated_records(),
+))
+def test_readers_raise_only_invalid_parameter_on_arbitrary_text(text):
+    for read in (params_from_text, array_from_text, codebook_from_text):
+        try:
+            read(text)
+        except InvalidParameterError:
+            pass
