@@ -14,6 +14,7 @@ from .bounds import (
     count_valid,
     gv_upper_bound,
     max_constant_composition_class,
+    run_ball_lb,
     sp_lower_bound,
 )
 from .code_c1 import C1Params, c1_check, c1_decode, c1_enumerate, c1_syndromes
@@ -49,6 +50,7 @@ from .onedim import (
     inversions,
     signature,
     signature_syndrome,
+    vt_decode_full,
     vt_decode_known_symbol,
     vt_syndromes,
 )
@@ -60,15 +62,13 @@ from .params_io import (
     params_to_text,
 )
 from .reprs import ccr, cir, is_good, is_l_valid, is_l_weakly_valid, rir, rows_are_distinct
+from .sample import sample_good, sample_valid, sample_weakly_valid
 from .verify import (
     TrialConfig,
     TrialStats,
     VerificationReport,
     decode_by_codebook,
     duality_check,
-    sample_good,
-    sample_valid,
-    sample_weakly_valid,
     simulate_trials,
     verify_codebook,
 )

@@ -339,8 +339,8 @@ def count_good_exact(n: int, q: int, state_cap: int = DEFAULT_STATE_CAP) -> Coun
     lower_bound carries the reference value q^(n^2 - 1); it is only a proven
     bound when q >= 3, n >= q^2 and q divides n.
     """
-    if n < 1 or q < 2:
-        raise InvalidParameterError("need n >= 1 and q >= 2")
+    if n < 1 or q < 2 or state_cap < 1:
+        raise InvalidParameterError("need n >= 1, q >= 2 and state_cap >= 1")
     states = math.comb(n + q - 1, q - 1)
     if states > state_cap:
         raise CapacityError(f"{states} composition states exceed the cap {state_cap}")

@@ -40,7 +40,8 @@ from .errors import (
 )
 from .params_io import CONSTRUCTIONS, codebook_from_text, construction_of, params_from_text
 from .scan import decode_route
-from .verify import DEFAULT_TRIAL_BUDGET, TrialConfig, simulate_trials, verify_codebook
+from .sample import DEFAULT_TRIAL_BUDGET
+from .verify import TrialConfig, simulate_trials, verify_codebook
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

@@ -1,5 +1,5 @@
 """Sequence-level primitives: signatures, VT syndromes and decoding,
-inversions, runs, compositions, and single-sequence deletion balls.
+inversions and compositions.
 
 Sequences are plain tuples of nonnegative ints. Positions are 1-based.
 """
@@ -47,13 +47,6 @@ def inversions(x: tuple[int, ...]) -> int:
         count += k
         seen.insert(k, v)
     return count
-
-
-def runs_count(x: tuple[int, ...]) -> int:
-    """Number of maximal blocks of equal adjacent symbols."""
-    if not x:
-        raise InvalidParameterError("runs are undefined for the empty sequence")
-    return 1 + sum(1 for a, b in zip(x, x[1:]) if a != b)
 
 
 def composition(x: tuple[int, ...], q: int) -> tuple[int, ...]:
@@ -114,16 +107,6 @@ def comp_rank(comp: tuple[int, ...]) -> int:
             rank += math.comb(remaining - v + parts_left - 1, parts_left - 1)
         remaining -= comp[pos]
     return rank
-
-
-def one_deletion_ball(x: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
-    """All distinct subsequences of x obtained by deleting exactly s symbols."""
-    if s < 0 or s > len(x):
-        raise InvalidParameterError(f"cannot delete {s} symbols from length {len(x)}")
-    out = set()
-    for keep in itertools.combinations(range(len(x)), len(x) - s):
-        out.add(tuple(x[i] for i in keep))
-    return tuple(sorted(out))
 
 
 def _insert(y: tuple[int, ...], p: int, v: int) -> tuple[int, ...]:

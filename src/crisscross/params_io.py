@@ -2,7 +2,8 @@
 and codebook files.
 
 CONSTRUCTIONS maps each ``construction=`` name to the record of functions that
-serve the family; callers dispatch through it instead of testing types.
+serve the family, from drawing a codeword to decoding it; callers dispatch
+through it instead of testing types.
 
 Parameter records are flat ``key=value`` lines with comma lists for vectors;
 a ``construction=`` line selects the layout. The burst-code record embeds its
@@ -24,6 +25,7 @@ from .code_c3 import C3Params, c3_check, c3_decode, check_burst_lengths
 from .core_array import Array2D, array_from_text, array_to_text
 from .errors import InvalidParameterError
 from .outcome import DecodeOutcome
+from .sample import c1_sample, c2_sample, c3_sample
 
 AnyParams = C1Params | C2Params | C3Params
 
@@ -209,7 +211,9 @@ class Construction:
     """One code family: its parameter type and the functions that serve it.
 
     decode takes (y, params, path) and accepts every name in paths; burst
-    marks families whose channel deletes consecutive windows.
+    marks families whose channel deletes consecutive windows. sample takes
+    (n, q, rng) and the keywords t_r, t_c, l, uniform_sums, rows_distinct
+    and budget, and returns a random codeword and its class.
     """
 
     name: str
@@ -220,17 +224,18 @@ class Construction:
     burst: bool
     to_lines: Callable[[AnyParams], list[str]]
     parse: Callable[[_Record], AnyParams]
+    sample: Callable[..., tuple[Array2D, AnyParams]]
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
     c.name: c
     for c in (
         Construction("c1", C1Params, c1_check, c1_decode, ("auto", "fast", "scan"), False,
-                     _c1_lines, _parse_c1),
+                     _c1_lines, _parse_c1, c1_sample),
         Construction("c2", C2Params, c2_check, c2_decode, ("auto", "fast", "scan"), False,
-                     _c2_lines, _parse_c2),
+                     _c2_lines, _parse_c2, c2_sample),
         Construction("c3", C3Params, c3_check, c3_decode, ("auto",), True,
-                     _c3_lines, _parse_c3),
+                     _c3_lines, _parse_c3, c3_sample),
     )
 }
 _BY_TYPE = {c.params: c for c in CONSTRUCTIONS.values()}

@@ -24,3 +24,13 @@ def array_builds(monkeypatch):
         Array2D, "__init__", lambda self, *args: validated.append(init(self, *args) or self)
     )
     return derived, validated
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the acceptance suite's verdict lines, one per criterion, once
+    output capture has ended."""
+    acceptance = sys.modules.get("test_acceptance")
+    if acceptance is not None and acceptance.LINES:
+        terminalreporter.section("acceptance verdicts", sep="-")
+        for line in acceptance.LINES:
+            terminalreporter.write_line(line)

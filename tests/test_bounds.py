@@ -21,9 +21,10 @@ from crisscross.bounds import (
 )
 from crisscross.core_array import enumerate_arrays
 from crisscross.errors import CapacityError, InvalidParameterError
-from crisscross.onedim import one_deletion_ball
 from crisscross.reprs import is_good, is_l_valid
 from crisscross.verify import verify_codebook
+
+from oracles import one_deletion_ball
 
 
 def test_sp_headline_matches_closed_form():
@@ -118,6 +119,8 @@ def test_count_good_large_instance_bound():
 def test_count_good_state_cap():
     with pytest.raises(CapacityError):
         count_good_exact(30, 30, state_cap=10)
+    with pytest.raises(InvalidParameterError, match="state_cap >= 1"):
+        count_good_exact(4, 2, state_cap=-1)
     with pytest.raises(CapacityError):
         good_chains(30, 30, 30, by_sum=True)
 

@@ -9,7 +9,6 @@ import pytest
 from crisscross.cli import main
 from crisscross.code_c1 import C1Params, c1_syndromes
 from crisscross.code_c2 import c2_syndromes
-from crisscross.code_c3 import c3_syndromes
 from crisscross.core_array import (
     Array2D,
     BurstPattern,
@@ -17,10 +16,9 @@ from crisscross.core_array import (
     array_from_text,
     array_to_text,
     delete_rows_cols,
-    interleave_residue_subarrays,
 )
-from crisscross.params_io import codebook_to_text, params_to_text
-from crisscross.verify import sample_good, sample_valid, sample_weakly_valid
+from crisscross.params_io import CONSTRUCTIONS, codebook_to_text, params_to_text
+from crisscross.sample import sample_good, sample_valid
 
 GOLDEN_BOUNDS_ROW = "100,2,2,3,533.2193,553.1523,0.373565,13.517091,false"
 
@@ -238,20 +236,8 @@ def test_decode_minor_whose_completions_repeat_a_column_exits_3(capsys, tmp_path
 
 
 def test_decode_burst_params_have_one_path(capsys, tmp_path):
-    rng = random.Random(4)
-    parts = []
-    for s_r in range(2):
-        row = []
-        for s_c in range(2):
-            if (s_r, s_c) == (0, 0):
-                row.append(
-                    sample_valid(4, 4, 3, 1, rng, uniform_sums=True, rows_distinct=True)
-                )
-            else:
-                row.append(sample_weakly_valid(4, 4, 3, 1, rng, uniform_sums=True))
-        parts.append(row)
-    x = interleave_residue_subarrays(parts, 2, 2)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = CONSTRUCTIONS["c3"].sample(8, 3, random.Random(4), t_r=2, t_c=2, l=1,
+                                      uniform_sums=True)
     params = tmp_path / "c3.params"
     params.write_text(params_to_text(p))
     y = tmp_path / "y.array"
@@ -351,6 +337,8 @@ def test_count_modes_and_errors(capsys):
     assert main(["count", "--mode", "good", "--n", "30", "--q", "30",
                  "--state-cap", "10"]) == 5
     assert "error:" in capsys.readouterr().err
+    assert main(["count", "--mode", "good", "--n", "4", "--q", "2", "--state-cap", "-1"]) == 2
+    assert "state_cap >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, start", [

@@ -26,7 +26,8 @@ from crisscross.errors import (
     NotACodewordError,
 )
 from crisscross.reprs import is_good
-from crisscross.verify import decode_by_codebook, sample_good
+from crisscross.sample import sample_good
+from crisscross.verify import decode_by_codebook
 
 
 def all_patterns(n):

@@ -28,7 +28,7 @@ from crisscross.errors import (
     NotACodewordError,
 )
 from crisscross.reprs import is_l_valid
-from crisscross.verify import sample_valid
+from crisscross.sample import sample_valid
 
 
 def test_params_validation():

@@ -23,26 +23,15 @@ from crisscross.errors import (
     NotACodewordError,
     NotInstantiableError,
 )
-from crisscross.params_io import params_from_text, params_to_text
+from crisscross.params_io import CONSTRUCTIONS, params_from_text, params_to_text
 from crisscross.reprs import is_l_weakly_valid
 from crisscross.reprs import parity_bits
-from crisscross.verify import TrialConfig, sample_valid, sample_weakly_valid
+from crisscross.verify import TrialConfig
 
 
 def make_codeword(rng, n, q, t_r, t_c, l, uniform=True):
-    m_r, m_c = n // t_r, n // t_c
-    parts = []
-    for s_r in range(1, t_r + 1):
-        row = []
-        for s_c in range(1, t_c + 1):
-            if (s_r, s_c) == (1, 1):
-                row.append(sample_valid(m_r, m_c, q, l, rng,
-                                        uniform_sums=uniform, rows_distinct=True))
-            else:
-                row.append(sample_weakly_valid(m_r, m_c, q, l, rng,
-                                               uniform_sums=uniform))
-        parts.append(row)
-    return interleave_residue_subarrays(parts, t_r, t_c)
+    """A random burst codeword and its class."""
+    return CONSTRUCTIONS["c3"].sample(n, q, rng, t_r=t_r, t_c=t_c, l=l, uniform_sums=uniform)
 
 
 def test_syndromes_shape_guards():
@@ -50,7 +39,7 @@ def test_syndromes_shape_guards():
     with pytest.raises(InvalidParameterError):
         c3_syndromes(x, 2, 2, 1)  # subarrays would be 1x1 < 3 bands
     rng = random.Random(1)
-    x9 = make_codeword(rng, 9, 3, 3, 3, 1)
+    x9, _ = make_codeword(rng, 9, 3, 3, 3, 1)
     with pytest.raises(InvalidParameterError):
         c3_syndromes(x9, 2, 3, 1)  # 2 does not divide 9
 
@@ -58,7 +47,7 @@ def test_syndromes_shape_guards():
 @pytest.mark.parametrize("n, t_r, t_c", [(8, 3, 2), (9, 3, 2), (8, 2, 5), (8, 0, 2), (8, 2, -1)])
 def test_every_entry_checks_the_burst_lengths_by_one_rule(n, t_r, t_c):
     want = f"burst lengths \\({t_r}, {t_c}\\) must be positive factors of n={n}$"
-    text = params_to_text(c3_syndromes(make_codeword(random.Random(3), 8, 3, 2, 2, 1), 2, 2, 1))
+    text = params_to_text(make_codeword(random.Random(3), 8, 3, 2, 2, 1)[1])
     text = text.replace("\nn=8\n", f"\nn={n}\n").replace("\ntr=2\n", f"\ntr={t_r}\n")
     entries = [
         lambda: C3Params(n, 3, t_r, t_c, 1, None, (), (), ()),
@@ -79,7 +68,7 @@ def test_syndromes_equal_the_per_subarray_reference(t):
     rng = random.Random(40 + t)
     n, q, l = 6 * t, 3, 1
     for uniform in (True, False):
-        x = make_codeword(rng, n, q, t, t, l, uniform=uniform)
+        x, _ = make_codeword(rng, n, q, t, t, l, uniform=uniform)
         subs = [
             [extract_residue_subarray(x, s, u, t, t) for u in range(1, t + 1)]
             for s in range(1, t + 1)
@@ -98,8 +87,7 @@ def test_decode_builds_one_scan_context_per_subarray(monkeypatch):
     # 2x2 residue classes under uniform sums: the anchor's fast decode builds
     # one context and each of the other three subarrays one more
     rng = random.Random(12)
-    x = make_codeword(rng, 12, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 12, 3, 2, 2, 1)
     assert p.anchor.uniform
     built = []
     init = scan.ScanContext.__init__
@@ -118,8 +106,7 @@ def test_decode_builds_arrays_only_where_it_hands_them_on(array_builds):
     # tuples from the cut to the interleave. All three are derived from the
     # validated minor, so none is validated again.
     rng = random.Random(12)
-    x = make_codeword(rng, 12, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 12, 3, 2, 2, 1)
     built, validated = array_builds
     for r0, c0 in ((1, 1), (6, 3), (11, 11)):
         y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
@@ -138,8 +125,7 @@ def test_syndromes_reject_unusable_anchor():
 
 def test_params_grid_agreement_is_enforced():
     rng = random.Random(3)
-    x = make_codeword(rng, 8, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 8, 3, 2, 2, 1)
     assert c3_check(x, p)
     # perturb one non-anchor sum entry: membership must fail
     a = [list(map(list, row)) for row in ([list(g) for g in p.a],)][0]
@@ -160,8 +146,7 @@ def test_params_grid_agreement_is_enforced():
 
 def test_round_trip_every_window():
     rng = random.Random(9)
-    x = make_codeword(rng, 8, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 8, 3, 2, 2, 1)
     for r0 in range(1, 8):
         for c0 in range(1, 8):
             y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
@@ -175,8 +160,7 @@ def test_round_trip_every_window():
 
 def test_round_trip_binary_wide_bands():
     rng = random.Random(17)
-    x = make_codeword(rng, 12, 2, 2, 2, 2)
-    p = c3_syndromes(x, 2, 2, 2)
+    x, p = make_codeword(rng, 12, 2, 2, 2, 2)
     for (r0, c0) in [(1, 1), (5, 8), (11, 11), (3, 6)]:
         y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
         out = c3_decode(y, p)
@@ -185,8 +169,7 @@ def test_round_trip_binary_wide_bands():
 
 def test_asymmetric_burst_widths():
     rng = random.Random(23)
-    x = make_codeword(rng, 12, 3, 3, 2, 1)
-    p = c3_syndromes(x, 3, 2, 1)
+    x, p = make_codeword(rng, 12, 3, 3, 2, 1)
     for (r0, c0) in [(1, 1), (10, 11), (4, 7)]:
         y = delete_rows_cols(x, BurstPattern(r0, c0, 3, 2))
         out = c3_decode(y, p)
@@ -195,8 +178,7 @@ def test_asymmetric_burst_widths():
 
 def test_single_burst_reduces_to_single_deletion():
     rng = random.Random(4)
-    x = make_codeword(rng, 6, 3, 1, 1, 1)
-    p = c3_syndromes(x, 1, 1, 1)
+    x, p = make_codeword(rng, 6, 3, 1, 1, 1)
     # with t=1 the anchor is the whole array; compare against the band decoder
     p2 = c2_syndromes(x, 1, rows_distinct=True)
     for i in (1, 4, 6):
@@ -210,16 +192,14 @@ def test_single_burst_reduces_to_single_deletion():
 
 def test_decode_shape_guard():
     rng = random.Random(6)
-    x = make_codeword(rng, 8, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 8, 3, 2, 2, 1)
     with pytest.raises(InvalidParameterError):
         c3_decode(x, p)  # not a burst minor
 
 
 def test_decode_refuses_paths_other_than_auto():
     rng = random.Random(6)
-    x = make_codeword(rng, 8, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 8, 3, 2, 2, 1)
     y = delete_rows_cols(x, BurstPattern(3, 5, 2, 2))
     assert c3_decode(y, p, path="auto").array == x
     for path in ("fast", "scan", "residue"):
@@ -231,8 +211,7 @@ def test_position_dependent_sums_fail_honestly():
     rng = random.Random(77)
     wrong, honest, clean = 0, 0, 0
     for _ in range(40):
-        x = make_codeword(rng, 8, 3, 2, 2, 1, uniform=False)
-        p = c3_syndromes(x, 2, 2, 1)
+        x, p = make_codeword(rng, 8, 3, 2, 2, 1, uniform=False)
         r0 = rng.randint(1, 7)
         c0 = rng.randint(1, 7)
         y = delete_rows_cols(x, BurstPattern(r0, c0, 2, 2))
@@ -280,7 +259,7 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
     # resolver's postcondition (the slot's sums and row parity, no band
     # claimed as matched), breaking one band parity or weak validity only.
     rng = random.Random(12)
-    x = make_codeword(rng, 8, 3, 2, 2, 1)
+    x, _ = make_codeword(rng, 8, 3, 2, 2, 1)
     subs = _subs_2x2(x)
     sub = subs[0][1]
     if broken == "grids":
@@ -316,8 +295,7 @@ def test_tampered_non_anchor_subarray_is_refused(monkeypatch, broken):
 
 def test_decode_never_returns_a_non_member_on_random_minors():
     rng = random.Random(31)
-    x = make_codeword(rng, 8, 3, 2, 2, 1)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = make_codeword(rng, 8, 3, 2, 2, 1)
     returned = 0
     for k in range(400):
         y = delete_rows_cols(

@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 
 from crisscross.code_c1 import c1_check, c1_decode, c1_syndromes
 from crisscross.code_c2 import c2_check, c2_decode, c2_syndromes
-from crisscross.code_c3 import c3_check, c3_decode, c3_syndromes
+from crisscross.code_c3 import c3_check, c3_decode
 from crisscross.core_array import (
     Array2D,
     BurstPattern,
     DeletionPattern,
     delete_rows_cols,
     deletion_brackets,
-    interleave_residue_subarrays,
 )
 from crisscross.errors import AmbiguityError, NotACodewordError
-from crisscross.verify import sample_good, sample_valid, sample_weakly_valid
+from crisscross.params_io import CONSTRUCTIONS
+from crisscross.sample import sample_good, sample_valid
 
 
 def _c1(data, rng, uniform):
@@ -46,18 +46,8 @@ def _c3(data, rng, uniform):
     # ternary subarrays at least 4x4, which hold an anchor with uniform sums
     t_r, t_c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     n, q = data.draw(st.sampled_from([8, 12])), 3
-    m_r, m_c = n // t_r, n // t_c
-    parts = [
-        [
-            sample_valid(m_r, m_c, q, 1, rng, uniform_sums=uniform, rows_distinct=True)
-            if (s, u) == (0, 0)
-            else sample_weakly_valid(m_r, m_c, q, 1, rng, uniform_sums=uniform)
-            for u in range(t_c)
-        ]
-        for s in range(t_r)
-    ]
-    x = interleave_residue_subarrays(parts, t_r, t_c)
-    return x, c3_syndromes(x, t_r, t_c, 1), (t_r, t_c)
+    x, p = CONSTRUCTIONS["c3"].sample(n, q, rng, t_r=t_r, t_c=t_c, l=1, uniform_sums=uniform)
+    return x, p, (t_r, t_c)
 
 
 FAMILIES = {

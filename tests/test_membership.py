@@ -13,10 +13,16 @@ import pytest
 from crisscross.code_c1 import c1_check, c1_syndromes
 from crisscross.code_c2 import c2_check, c2_syndromes
 from crisscross.code_c3 import c3_check, c3_syndromes
-from crisscross.core_array import Array2D, enumerate_arrays, interleave_residue_subarrays
+from crisscross.core_array import (
+    Array2D,
+    enumerate_arrays,
+    extract_residue_subarray,
+    interleave_residue_subarrays,
+)
 from crisscross.errors import InvalidParameterError
+from crisscross.params_io import CONSTRUCTIONS
 from crisscross.reprs import is_good, is_l_valid, is_l_weakly_valid, rows_are_distinct
-from crisscross.verify import sample_good, sample_valid, sample_weakly_valid
+from crisscross.sample import sample_good, sample_valid
 
 
 def _others(value, size):
@@ -89,15 +95,10 @@ def _c3_slot_variants(p):
 
 
 def test_c3_check_refuses_every_single_slot_change_outside_the_anchor():
-    rng = random.Random(63)
-    parts = [
-        [sample_valid(4, 4, 3, 1, rng, rows_distinct=True), sample_weakly_valid(4, 4, 3, 1, rng)],
-        [sample_weakly_valid(4, 4, 3, 1, rng), sample_weakly_valid(4, 4, 3, 1, rng)],
-    ]
-    x = interleave_residue_subarrays(parts, 2, 2)
-    p = c3_syndromes(x, 2, 2, 1)
+    x, p = CONSTRUCTIONS["c3"].sample(8, 3, random.Random(63), t_r=2, t_c=2, l=1)
     _assert_only_own_class(c3_check, x, p, _c3_slot_variants(p))
     # A non-anchor subarray without band adjacency is refused even by its own class.
+    parts = [[extract_residue_subarray(x, s, u, 2, 2) for u in (1, 2)] for s in (1, 2)]
     parts[1][0] = Array2D(((0,) * 4,) + parts[1][0].cells[1:], 3)
     broken = interleave_residue_subarrays(parts, 2, 2)
     assert not c3_check(broken, c3_syndromes(broken, 2, 2, 1))

@@ -14,14 +14,14 @@ from crisscross.onedim import (
     composition,
     inserted_syndrome,
     inversions,
-    one_deletion_ball,
-    runs_count,
     signature,
     signature_syndrome,
     vt_decode_full,
     vt_decode_known_symbol,
     vt_syndromes,
 )
+
+from oracles import one_deletion_ball, runs_count
 
 
 def test_signature_marks_non_decreasing_steps():

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crisscross.code_c1 import c1_syndromes
-from crisscross.code_c2 import C2Params, c2_syndromes
-from crisscross.code_c3 import c3_syndromes
-from crisscross.core_array import Array2D, array_from_text, interleave_residue_subarrays
+from crisscross.code_c2 import c2_syndromes
+from crisscross.core_array import Array2D, array_from_text
 from crisscross.errors import InvalidParameterError
 from crisscross.params_io import (
     CONSTRUCTIONS,
@@ -22,7 +21,7 @@ from crisscross.params_io import (
     params_from_text,
     params_to_text,
 )
-from crisscross.verify import sample_good, sample_valid, sample_weakly_valid
+from crisscross.sample import sample_good, sample_valid
 
 
 def _c1_fixture(relaxed=False):
@@ -31,18 +30,7 @@ def _c1_fixture(relaxed=False):
 
 
 def _c3_fixture():
-    rng = random.Random(4)
-    parts = []
-    for s_r in range(2):
-        row = []
-        for s_c in range(2):
-            if (s_r, s_c) == (0, 0):
-                row.append(sample_valid(4, 4, 3, 1, rng, rows_distinct=True))
-            else:
-                row.append(sample_weakly_valid(4, 4, 3, 1, rng))
-        parts.append(row)
-    x = interleave_residue_subarrays(parts, 2, 2)
-    return c3_syndromes(x, 2, 2, 1)
+    return CONSTRUCTIONS["c3"].sample(8, 3, random.Random(4), t_r=2, t_c=2, l=1)[1]
 
 
 def _round_trip(p):

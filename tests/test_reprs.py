@@ -21,7 +21,7 @@ from crisscross.reprs import (
     rir,
     rows_are_distinct,
 )
-from crisscross.verify import sample_valid, sample_weakly_valid
+from crisscross.sample import sample_valid, sample_weakly_valid
 
 X = Array2D([[0, 1, 2], [2, 0, 1], [1, 1, 0]], 3)
 

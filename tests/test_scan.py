@@ -29,7 +29,7 @@ from crisscross.scan import (
     resolve_deletion,
     scan_verdict,
 )
-from crisscross.verify import sample_good, sample_valid
+from crisscross.sample import sample_good, sample_valid
 
 
 def _plus_one(comp, v):

@@ -4,16 +4,19 @@ Modules share helpers only through public names, import only at module level
 and only what they use, call every private function they define, and choose a
 construction through the table in params_io rather than by testing parameter
 types. The decoder helpers in scan.py exist for the constructions, so each
-public one is used by another module. Two rules are checked on the imported
+public one is used by another module; every other public function is used in
+the package or offered to its users. Two rules are checked on the imported
 modules instead: none builds a large table at import, and every name the
 benchmark in perfbench/ imports from the package exists.
 """
 import ast
 import importlib
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crisscross"
-BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "crisscross"
+BENCHMARK = ROOT / "perfbench"
 PARAMS_TYPES = {"C1Params", "C2Params", "C3Params"}
 TABLE_MODULE = "params_io.py"
 DERIVED_ARRAY_USERS = {"core_array.py", "scan.py", "code_c1.py", "code_c2.py", "code_c3.py"}
@@ -124,6 +127,39 @@ def test_every_public_scan_function_is_used_by_another_module():
     assert not bad
 
 
+def _benchmark_imports():
+    """(file name, module, name) of every name perfbench/ imports from the package."""
+    return [
+        (path.name, node.module, alias.name)
+        for path in sorted(BENCHMARK.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "crisscross"
+        for alias in node.names
+    ]
+
+
+def test_every_public_function_is_used_or_offered():
+    # used somewhere in the package, its own module included, or offered to
+    # users: exported from the package root, imported by the benchmark, or
+    # named in README
+    trees = dict(_trees())
+    offered = {alias.name for node in trees["__init__.py"].body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    offered |= {name for _, _, name in _benchmark_imports()}
+    used = set().union(*map(_loaded_names, trees.values()))
+    readme = (ROOT / "README.md").read_text()
+    bad = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used | offered
+        and not re.search(rf"\b{node.name}\b", readme)
+    ]
+    assert not bad
+
+
 def test_only_core_array_and_the_decoders_build_arrays_without_validation():
     # core_array.derived_array skips Array2D's checks, which holds only for
     # cells derived from a validated array; no other module may reach it,
@@ -160,13 +196,7 @@ def test_no_module_builds_a_large_container_at_import():
 def test_every_name_the_benchmark_imports_from_the_package_exists():
     # the suite does not run the benchmark's own tests, so a renamed function
     # that the benchmark imports would pass here and fail every benchmark run
-    wanted = [
-        (path.name, node.module, alias.name)
-        for path in sorted(BENCHMARK.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "crisscross"
-        for alias in node.names
-    ]
+    wanted = _benchmark_imports()
     assert {module for _, module, _ in wanted} >= {"crisscross", "crisscross.core_array"}
     missing = [
         f"{name}: from {module} import {imported}"
