@@ -30,6 +30,7 @@ from .core_array import (
     array_to_text,
     delete_rows_cols,
     random_pattern,
+    read_int,
 )
 from .errors import (
     AmbiguityError,
@@ -49,6 +50,15 @@ EXIT_INPUT = 2
 EXIT_DECODE = 3
 EXIT_AMBIGUOUS = 4
 EXIT_CAPACITY = 5
+
+# The exit code of each exception main reports, the first class that matches.
+_EXIT_CODES = (
+    (AmbiguityError, EXIT_AMBIGUOUS),
+    (NotACodewordError, EXIT_DECODE),
+    (CapacityError, EXIT_CAPACITY),
+    (CrissCrossError, EXIT_INPUT),
+    (OSError, EXIT_INPUT),
+)
 
 # Most values one --n/--q style list may expand to, and most rows one bounds
 # grid may print; both are checked before anything is expanded or written.
@@ -75,19 +85,14 @@ def _parse_values(spec: str, what: str) -> list[int]:
     out: list[int] = []
     for part in spec.split(","):
         try:
-            if ":" in part:
-                pieces = [int(v) for v in part.split(":")]
-                if len(pieces) == 2:
-                    lo, hi, step = pieces[0], pieces[1], 1
-                elif len(pieces) == 3:
-                    lo, hi, step = pieces
-                else:
-                    raise ValueError
-                if step < 1:
-                    raise ValueError
-                values = range(lo, hi + 1, step)
-            else:
-                values = [int(part)]
+            pieces = [read_int(v) for v in part.split(":")]
+            if len(pieces) == 1:  # "8" is 8:8
+                pieces *= 2
+            # "4:12" steps by 1; four or more pieces fail to unpack with ValueError
+            lo, hi, step = (*pieces, 1) if len(pieces) == 2 else pieces
+            if step < 1:
+                raise ValueError
+            values = range(lo, hi + 1, step)
         except ValueError:
             raise InvalidParameterError(
                 f"bad {what} value {part!r}: want an integer, a comma list, or lo:hi[:step]"
@@ -101,7 +106,7 @@ def _parse_values(spec: str, what: str) -> list[int]:
 
 def _parse_positions(spec: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in spec.split(","))
+        return tuple(map(read_int, spec.split(",")))
     except ValueError:
         raise InvalidParameterError(f"bad {what} list {spec!r}") from None
 
@@ -262,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="CSV table of redundancy bounds over a parameter grid")
     p.add_argument("--n", required=True, help="side lengths: 8, 4,8,12, or 4:16[:2]")
     p.add_argument("--q", required=True, help="alphabet sizes, same syntax as --n")
-    p.add_argument("--tr", type=int, default=1, help="row deletions")
-    p.add_argument("--tc", type=int, default=1, help="column deletions")
+    p.add_argument("--tr", type=read_int, default=1, help="row deletions")
+    p.add_argument("--tc", type=read_int, default=1, help="column deletions")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("check", help="membership of an array in a parameter class")
@@ -276,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst", action="store_true", help="delete consecutive windows")
     p.add_argument("--rows", help="explicit 1-based row positions, comma list")
     p.add_argument("--cols", help="explicit 1-based column positions, comma list")
-    p.add_argument("--row-start", type=int, help="burst window start row")
-    p.add_argument("--col-start", type=int, help="burst window start column")
-    p.add_argument("--tr", type=int, default=1, help="rows to delete")
-    p.add_argument("--tc", type=int, default=1, help="columns to delete")
-    p.add_argument("--seed", type=int, help="seed for a random pattern")
+    p.add_argument("--row-start", type=read_int, help="burst window start row")
+    p.add_argument("--col-start", type=read_int, help="burst window start column")
+    p.add_argument("--tr", type=read_int, default=1, help="rows to delete")
+    p.add_argument("--tc", type=read_int, default=1, help="columns to delete")
+    p.add_argument("--seed", type=read_int, help="seed for a random pattern")
     p.add_argument("--output", default="-", help="where to write the minor")
     p.set_defaults(func=cmd_corrupt)
 
@@ -293,34 +298,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="pairwise deletion-ball disjointness of a codebook")
     p.add_argument("--codebook", required=True, help="codebook file, - for stdin")
-    p.add_argument("--tr", type=int, default=1)
-    p.add_argument("--tc", type=int, default=1)
+    p.add_argument("--tr", type=read_int, default=1)
+    p.add_argument("--tc", type=read_int, default=1)
     p.add_argument("--burst", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="randomized corrupt/decode round-trip trials")
     p.add_argument("--construction", required=True, choices=tuple(CONSTRUCTIONS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--tr", type=int, default=1)
-    p.add_argument("--tc", type=int, default=1)
-    p.add_argument("--l", type=int, help="band height (default: derived from shape)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--n", type=read_int, required=True)
+    p.add_argument("--q", type=read_int, required=True)
+    p.add_argument("--tr", type=read_int, default=1)
+    p.add_argument("--tc", type=read_int, default=1)
+    p.add_argument("--l", type=read_int, help="band height (default: derived from shape)")
+    p.add_argument("--trials", type=read_int, default=100)
+    p.add_argument("--seed", type=read_int, help="master seed (required)")
     p.add_argument("--burst", action="store_true")
     p.add_argument("--uniform-sums", action="store_true", help="constant sum parameters")
     p.add_argument("--rows-distinct", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)
+    p.add_argument("--budget", type=read_int, default=DEFAULT_TRIAL_BUDGET)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("count", help="count arrays with the structural guarantees")
     p.add_argument("--mode", required=True, choices=("good", "valid"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--l", type=int, help="band height (valid mode)")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, help="seed for sampling (valid mode)")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--n", type=read_int, required=True)
+    p.add_argument("--q", type=read_int, required=True)
+    p.add_argument("--l", type=read_int, help="band height (valid mode)")
+    p.add_argument("--trials", type=read_int, default=100_000)
+    p.add_argument("--seed", type=read_int, help="seed for sampling (valid mode)")
+    p.add_argument("--state-cap", type=read_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(func=cmd_count)
 
     return parser
@@ -330,18 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AmbiguityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_AMBIGUOUS
-    except NotACodewordError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DECODE
-    except CapacityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAPACITY
     except (CrissCrossError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -17,11 +17,7 @@ from .core_array import (
     enumerate_arrays,
     require_shape,
 )
-from .errors import (
-    CapacityError,
-    InvalidParameterError,
-    NotACodewordError,
-)
+from .errors import InvalidParameterError, NotACodewordError
 from .onedim import inserted_syndrome, signature_syndrome, vt_decode_known_symbol
 from .outcome import DecodeOutcome
 from .scan import (
@@ -164,9 +160,6 @@ def _decode_scan(y: Array2D, p: C1Params) -> DecodeOutcome:
 
 def c1_enumerate(p: C1Params, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Array2D]:
     """Yield every codeword of the class in lexicographic order (tiny n only)."""
-    total = p.q ** (p.n * p.n)
-    if total > cap:
-        raise CapacityError(f"{total} arrays exceed the enumeration cap {cap}")
     for x in enumerate_arrays(p.n, p.n, p.q, cap):
         if c1_check(x, p):
             yield x

@@ -476,28 +476,53 @@ def array_to_text(x: Array2D) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_int(token: str) -> int:
+    """The int that token spells, the one integer grammar of every text reader:
+    exactly what str() prints for an int (ASCII digits after an optional "-",
+    no "+", "_", leading zero, "-0" or surrounding space). Raises ValueError
+    otherwise, as int() does."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"non-canonical integer {token!r}")
+    return value
+
+
+def read_ints(tokens: list[str]) -> tuple[int, ...]:
+    """read_int of every token, each distinct token read once, in order, so
+    the ValueError names the first token that is not an integer."""
+    known = {token: read_int(token) for token in dict.fromkeys(tokens)}
+    return tuple(map(known.__getitem__, tokens))
+
+
+def read_header(text: str, names: str, what: str) -> tuple[int, ...]:
+    """The integers of a header text holding one per name of names, or
+    InvalidParameterError naming what."""
+    tokens = text.split()
+    if len(tokens) != len(names.split()):
+        raise InvalidParameterError(f"bad {what} {text!r}: want {names!r}")
+    try:
+        return read_ints(tokens)
+    except ValueError as exc:
+        raise InvalidParameterError(f"non-integer {what} {text!r}") from exc
+
+
 def array_from_text(text: str) -> Array2D:
     """Parse the array text format; the exact inverse of array_to_text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameterError("empty array text")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise InvalidParameterError(f"bad header {lines[0]!r}: want 'rows cols q'")
-    try:
-        rows, cols, q = (int(v) for v in header)
-    except ValueError as exc:
-        raise InvalidParameterError(f"non-integer header {lines[0]!r}") from exc
+    rows, cols, q = read_header(lines[0], "rows cols q", "header")
     body = lines[1:]
     if len(body) != rows:
         raise InvalidParameterError(f"expected {rows} rows, found {len(body)}")
-    cells = []
+    tokens = []
     for ln in body:
-        try:
-            row = tuple(int(v) for v in ln.split())
-        except ValueError as exc:
-            raise InvalidParameterError(f"non-integer cell in row {ln!r}") from exc
+        row = ln.split()
         if len(row) != cols:
             raise InvalidParameterError(f"expected {cols} columns, found {len(row)}")
-        cells.append(row)
-    return Array2D(tuple(cells), q)
+        tokens += row
+    try:
+        flat = read_ints(tokens)
+    except ValueError as exc:
+        raise InvalidParameterError(f"non-integer cell: {exc}") from exc
+    return Array2D([flat[k * cols:(k + 1) * cols] for k in range(rows)], q)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .code_c1 import C1Params, c1_check, c1_decode
 from .code_c2 import C2Params, c2_check, c2_decode
 from .code_c3 import C3Params, c3_check, c3_decode, check_burst_lengths
-from .core_array import Array2D, array_from_text, array_to_text
+from .core_array import Array2D, array_from_text, array_to_text, read_header, read_int, read_ints
 from .errors import InvalidParameterError
 from .outcome import DecodeOutcome
 from .sample import c1_sample, c2_sample, c3_sample
@@ -125,10 +125,10 @@ class _Record:
             ) from exc
 
     def take_int(self, key: str) -> int:
-        return self._take_as(key, int, "an integer")
+        return self._take_as(key, read_int, "an integer")
 
     def take_vec(self, key: str) -> tuple[int, ...]:
-        return self._take_as(key, lambda raw: tuple(map(int, raw.split(","))) if raw else (),
+        return self._take_as(key, lambda raw: read_ints(raw.split(",")) if raw else (),
                              "a comma list")
 
     def take_bool(self, key: str) -> bool:
@@ -213,7 +213,8 @@ class Construction:
     decode takes (y, params, path) and accepts every name in paths; burst
     marks families whose channel deletes consecutive windows. sample takes
     (n, q, rng) and the keywords t_r, t_c, l, uniform_sums, rows_distinct
-    and budget, and returns a random codeword and its class.
+    and budget, and returns a random codeword and its class. settings names
+    the family-specific trial settings (verify.FAMILY_SETTINGS) it reads.
     """
 
     name: str
@@ -225,17 +226,18 @@ class Construction:
     to_lines: Callable[[AnyParams], list[str]]
     parse: Callable[[_Record], AnyParams]
     sample: Callable[..., tuple[Array2D, AnyParams]]
+    settings: frozenset[str]
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
     c.name: c
     for c in (
         Construction("c1", C1Params, c1_check, c1_decode, ("auto", "fast", "scan"), False,
-                     _c1_lines, _parse_c1, c1_sample),
+                     _c1_lines, _parse_c1, c1_sample, frozenset()),
         Construction("c2", C2Params, c2_check, c2_decode, ("auto", "fast", "scan"), False,
-                     _c2_lines, _parse_c2, c2_sample),
+                     _c2_lines, _parse_c2, c2_sample, frozenset({"l", "rows_distinct"})),
         Construction("c3", C3Params, c3_check, c3_decode, ("auto",), True,
-                     _c3_lines, _parse_c3, c3_sample),
+                     _c3_lines, _parse_c3, c3_sample, frozenset({"t_r", "t_c", "l"})),
     )
 }
 _BY_TYPE = {c.params: c for c in CONSTRUCTIONS.values()}
@@ -265,6 +267,15 @@ def params_from_text(text: str) -> AnyParams:
     return p
 
 
+def _check_book_shape(arrays: tuple[Array2D, ...], n: int, q: int, source: str) -> None:
+    """Raise InvalidParameterError unless every array is n x n over q, as source says."""
+    for k, x in enumerate(arrays):
+        if (x.rows, x.cols, x.q) != (n, n, q):
+            raise InvalidParameterError(
+                f"array {k} is {x.rows}x{x.cols} over q={x.q}, {source} {n}x{n} over q={q}"
+            )
+
+
 def codebook_to_text(arrays: Sequence[Array2D], n: int | None = None, q: int | None = None) -> str:
     arrays = tuple(arrays)
     if arrays:
@@ -272,11 +283,7 @@ def codebook_to_text(arrays: Sequence[Array2D], n: int | None = None, q: int | N
         q = arrays[0].q if q is None else q
     elif n is None or q is None:
         raise InvalidParameterError("an empty codebook needs explicit n and q")
-    for k, x in enumerate(arrays):
-        if x.rows != n or x.cols != n or x.q != q:
-            raise InvalidParameterError(
-                f"array {k} is {x.rows}x{x.cols} over q={x.q}, want {n}x{n} over q={q}"
-            )
+    _check_book_shape(arrays, n, q, "want")
     blocks = [f"{n} {q} {len(arrays)}"]
     blocks += [array_to_text(x).rstrip("\n") for x in arrays]
     return "\n\n".join(blocks) + "\n"
@@ -286,19 +293,9 @@ def codebook_from_text(text: str) -> tuple[Array2D, ...]:
     blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
     if not blocks:
         raise InvalidParameterError("empty codebook text")
-    header = blocks[0].split()
-    if len(header) != 3:
-        raise InvalidParameterError(f"bad codebook header {blocks[0]!r}: want 'n q count'")
-    try:
-        n, q, count = (int(v) for v in header)
-    except ValueError as exc:
-        raise InvalidParameterError(f"non-integer codebook header {blocks[0]!r}") from exc
+    n, q, count = read_header(blocks[0], "n q count", "codebook header")
     if len(blocks) - 1 != count:
         raise InvalidParameterError(f"header promises {count} arrays, found {len(blocks) - 1}")
     arrays = tuple(array_from_text(b) for b in blocks[1:])
-    for k, x in enumerate(arrays):
-        if x.rows != n or x.cols != n or x.q != q:
-            raise InvalidParameterError(
-                f"array {k} is {x.rows}x{x.cols} over q={x.q}, header says {n} over q={q}"
-            )
+    _check_book_shape(arrays, n, q, "header says")
     return arrays

@@ -213,17 +213,15 @@ def column_rank_screen(ctx: ScanContext, target: int) -> list[tuple[int, int, bo
 
 
 def scan_verdict(survivors: dict, path: str) -> DecodeOutcome:
-    """The unique surviving candidate with the hypothesis range that produced it."""
+    """The unique survivor of survivors, which maps each candidate codeword to
+    the (row, column) deletion positions that produce it, with the range of
+    those positions as its intervals."""
     if not survivors:
-        raise NotACodewordError("no deletion hypothesis yields a class member")
+        raise NotACodewordError("no codeword's ball contains the input")
     if len(survivors) > 1:
-        raise AmbiguityError(
-            f"{len(survivors)} distinct codewords explain the input; "
-            "the class is not deletion correcting on this instance"
-        )
+        raise AmbiguityError(f"{len(survivors)} codewords explain the input")
     array, hyps = next(iter(survivors.items()))
-    rows = [i for i, _ in hyps]
-    cols = [j for _, j in hyps]
+    rows, cols = zip(*hyps)
     return DecodeOutcome(
         array=array,
         row_interval=(min(rows), max(rows)),

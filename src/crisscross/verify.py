@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .code_c2 import default_band_height
 from .code_c3 import check_burst_lengths
@@ -27,18 +27,15 @@ from .core_array import (
     require_shape,
     unpack_minor,
 )
-from .errors import (
-    AmbiguityError,
-    CapacityError,
-    CrissCrossError,
-    InvalidParameterError,
-    NotACodewordError,
-)
+from .errors import CapacityError, CrissCrossError, InvalidParameterError
 from .outcome import DecodeOutcome
 from .params_io import CONSTRUCTIONS
 from .sample import DEFAULT_TRIAL_BUDGET
+from .scan import scan_verdict
 
 PAIR_CAP = 1 << 26
+# The TrialConfig fields that only some families read (Construction.settings).
+FAMILY_SETTINGS = frozenset({"t_r", "t_c", "l", "rows_distinct"})
 
 
 @dataclass(frozen=True)
@@ -175,20 +172,9 @@ def decode_by_codebook(
     arrays = list(arrays)
     rows, cols, q = _require_uniform_book(arrays)
     require_shape(y, rows - t_r, cols - t_c, q, f"({t_r}, {t_c}) deletions from the codebook")
-    brackets = {}
-    for x in arrays:
-        if x not in brackets:
-            brackets[x] = deletion_brackets(x, y, t_r, t_c, burst)
-    hits = [x for x, found in brackets.items() if found]
-    if not hits:
-        raise NotACodewordError("no codeword's ball contains the input")
-    if len(hits) > 1:
-        raise AmbiguityError(f"{len(hits)} codewords explain the input")
-    x = hits[0]
-    row_interval, col_interval = brackets[x]
-    return DecodeOutcome(
-        array=x, row_interval=row_interval, col_interval=col_interval, path="codebook"
-    )
+    found = {x: deletion_brackets(x, y, t_r, t_c, burst) for x in dict.fromkeys(arrays)}
+    # zip turns a hit's brackets into its corners, whose min and max give them back
+    return scan_verdict({x: list(zip(*b)) for x, b in found.items() if b}, "codebook")
 
 
 def _subseed(master: int, index: int) -> int:
@@ -221,12 +207,16 @@ class TrialConfig:
             )
         if self.trials < 0 or self.n < 2 or self.q < 2 or min(self.t_r, self.t_c, self.budget) < 1:
             raise InvalidParameterError("need trials >= 0, n >= 2, q >= 2, t_r, t_c, budget >= 1")
-        burst = CONSTRUCTIONS[self.construction].burst
-        if not burst and (self.t_r, self.t_c) != (1, 1):
-            raise InvalidParameterError("single-deletion constructions require t_r = t_c = 1")
-        if burst and not self.burst:
+        construction = CONSTRUCTIONS[self.construction]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in FAMILY_SETTINGS - construction.settings and value != f.default:
+                raise InvalidParameterError(
+                    f"the {self.construction} construction does not take {f.name}={value!r}"
+                )
+        if construction.burst and not self.burst:
             raise InvalidParameterError("the residue construction corrects bursts only")
-        if burst:
+        if construction.burst:
             check_burst_lengths(self.n, self.t_r, self.t_c)
 
     @property

@@ -1,7 +1,11 @@
-"""Brute-force sequence oracles the tests compare the library against."""
+"""Brute-force sequence oracles the tests compare the library against, and
+the integer spellings every text reader must refuse."""
 import itertools
 
 from crisscross.errors import InvalidParameterError
+
+# Spellings that int() reads but str() never prints.
+NON_CANONICAL = ["+3", "03", "3_0", "\u0663", "-0"]
 
 
 def runs_count(x: tuple[int, ...]) -> int:

@@ -1,12 +1,13 @@
 """End-to-end command line checks, driven through main(argv)."""
 
+import argparse
 import io
 import random
 import sys
 
 import pytest
 
-from crisscross.cli import main
+from crisscross.cli import build_parser, main
 from crisscross.code_c1 import C1Params, c1_syndromes
 from crisscross.code_c2 import c2_syndromes
 from crisscross.core_array import (
@@ -16,9 +17,12 @@ from crisscross.core_array import (
     array_from_text,
     array_to_text,
     delete_rows_cols,
+    read_int,
 )
 from crisscross.params_io import CONSTRUCTIONS, codebook_to_text, params_to_text
 from crisscross.sample import sample_good, sample_valid
+
+from oracles import NON_CANONICAL
 
 GOLDEN_BOUNDS_ROW = "100,2,2,3,533.2193,553.1523,0.373565,13.517091,false"
 
@@ -319,6 +323,47 @@ def test_simulate_nonpositive_burst_width_exits_2(capsys, widths):
         "--burst", "--seed", "1",
     ]) == 2
     assert "t_r, t_c, budget >= 1" in capsys.readouterr().err
+
+
+def test_simulate_refuses_settings_the_family_does_not_take(capsys):
+    argv = ["simulate", "--construction", "c1", "--n", "6", "--q", "3", "--seed", "4"]
+    assert main([*argv, "--l", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the c1 construction does not take l=3\n"
+
+
+def _integer_options():
+    """(subcommand, option) for every option build_parser converts to an int."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [(name, a) for name, p in sub.choices.items() for a in p._actions if a.type]
+    assert all(a.type is read_int for _, a in options)
+    return [(name, a.option_strings[0]) for name, a in options]
+
+
+@pytest.mark.parametrize("token", NON_CANONICAL)
+def test_every_integer_argument_refuses_non_canonical_spellings(capsys, c1_files, token):
+    _, _, arr = c1_files
+    options = _integer_options()
+    assert len(options) == 23
+    for name, option in options:
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, option, token])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: invalid" in captured.err
+    for argv in (
+        ["bounds", "--n", token, "--q", "2"],
+        ["bounds", "--n", "4", "--q", f"2,{token}"],
+        ["bounds", "--n", f"2:{token}", "--q", "2"],
+        ["corrupt", "--array", str(arr), "--rows", token, "--cols", "1"],
+        ["corrupt", "--array", str(arr), "--rows", "1", "--cols", f"2,{token}"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad ")
 
 
 def test_count_modes_and_errors(capsys):

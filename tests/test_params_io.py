@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from crisscross.code_c1 import c1_syndromes
 from crisscross.code_c2 import c2_syndromes
-from crisscross.core_array import Array2D, array_from_text
+from crisscross.core_array import Array2D, array_from_text, array_to_text
 from crisscross.errors import InvalidParameterError
 from crisscross.params_io import (
     CONSTRUCTIONS,
@@ -22,6 +22,8 @@ from crisscross.params_io import (
     params_to_text,
 )
 from crisscross.sample import sample_good, sample_valid
+
+from oracles import NON_CANONICAL
 
 
 def _c1_fixture(relaxed=False):
@@ -360,3 +362,76 @@ def test_readers_raise_only_invalid_parameter_on_arbitrary_text(text):
             read(text)
         except InvalidParameterError:
             pass
+
+
+def _respelled_entries():
+    """(read, text with one integer token replaced by "@", the grammar
+    message) for every library reader of integer text."""
+    p = _c1_fixture()
+    record = params_to_text(p)
+    array = array_to_text(_book(1)[0]).splitlines()
+    book = codebook_to_text(_book(2))
+    return [
+        pytest.param(params_from_text, _edit_line(record, "c", "@"), "is not an integer",
+                     id="record-scalar"),
+        pytest.param(params_from_text, _edit_line(record, "a", _fvec(("@", *p.a[1:]))),
+                     "is not a comma list", id="record-vector"),
+        pytest.param(array_from_text, "\n".join(["@ 3 2", *array[1:]]), "non-integer header",
+                     id="array-header"),
+        pytest.param(array_from_text, "\n".join([array[0], "@" + array[1][1:], *array[2:]]),
+                     "non-integer cell", id="array-cell"),
+        pytest.param(codebook_from_text, "@" + book[1:], "non-integer codebook header",
+                     id="codebook-header"),
+    ]
+
+
+@pytest.mark.parametrize("token", NON_CANONICAL)
+@pytest.mark.parametrize("read, text, message", _respelled_entries())
+def test_every_reader_refuses_non_canonical_integers(read, text, message, token):
+    with pytest.raises(InvalidParameterError, match=message):
+        read(text.replace("@", token))
+
+
+_PRINTED = [
+    *((text, params_from_text, params_to_text) for text in _RECORD_TEXTS),
+    (array_to_text(sample_good(4, 3, random.Random(5))), array_from_text, array_to_text),
+    (codebook_to_text(_book(2)), codebook_from_text, codebook_to_text),
+]
+_CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
+_GRAMMAR = re.compile(r"not an integer|not a comma list|non-integer")
+_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _int_spans(text):
+    """(start, end) of every integer token of a printed record, array or codebook:
+    the comma list entries after a key's "=", else the whitespace-split tokens."""
+    spans, offset = [], 0
+    for line in text.splitlines(keepends=True):
+        start = line.find("=") + 1
+        for m in re.finditer(r"[^\s,]+", line[start:]):
+            if re.fullmatch(r"-?[0-9]+", m.group()):
+                spans.append((offset + start + m.start(), offset + start + m.end()))
+        offset += len(line)
+    return spans
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_respelled_integers_are_refused_or_read_back_stably(data):
+    text, read, write = data.draw(st.sampled_from(_PRINTED))
+    start, end = data.draw(st.sampled_from(_int_spans(text)))
+    old = text[start:end]
+    new = data.draw(st.one_of(
+        st.integers(-3, 12).map(str),
+        st.sampled_from([*NON_CANONICAL, "+0", "00", "1_0", "\uff11", f"+{old}", f"0{old}",
+                         old.translate(_INDIC)]),
+    ))
+    canonical = bool(_CANONICAL.fullmatch(new))
+    try:
+        value = read(text[:start] + new + text[end:])
+    except InvalidParameterError as exc:
+        # a canonical spelling may fail a range check, never the grammar
+        assert bool(_GRAMMAR.search(str(exc))) != canonical
+        return
+    assert canonical
+    assert read(write(value)) == value

@@ -212,6 +212,13 @@ def test_trial_config_validation():
         TrialConfig("c3", n=4, q=2, t_r=2, t_c=2)  # burst required
     with pytest.raises(InvalidParameterError):
         TrialConfig("c3", n=5, q=2, t_r=2, t_c=1, burst=True)  # 2 does not divide 5
+    # each family refuses the settings it does not read
+    for construction, setting in [
+        ("c1", dict(l=3)), ("c1", dict(rows_distinct=True)), ("c1", dict(t_c=2)),
+        ("c3", dict(rows_distinct=True)),
+    ]:
+        with pytest.raises(InvalidParameterError, match="construction does not take"):
+            TrialConfig(construction, n=8, q=3, burst=True, **setting)
     assert TrialConfig("c2", n=12, q=2).band_height == 4
     assert TrialConfig("c3", n=8, q=3, t_r=2, t_c=2, burst=True).band_height == 1
 
